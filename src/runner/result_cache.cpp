@@ -1,7 +1,10 @@
 #include "runner/result_cache.h"
 
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -27,6 +30,31 @@ void PutDelta(ByteWriter& w, TimeDelta d) { w.I64(d.us()); }
 
 Timestamp GetTime(ByteReader& r) { return Timestamp::Micros(r.I64()); }
 TimeDelta GetDelta(ByteReader& r) { return TimeDelta::Micros(r.I64()); }
+
+enum class ReadStatus { kMissing, kCorrupt, kOk };
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+/// Reads the regular file at `path` into `out` with one read sized from
+/// fstat. Anything that is not a regular file, or reads short, is corrupt.
+ReadStatus ReadWholeFile(const std::string& path, std::vector<uint8_t>* out) {
+  const std::unique_ptr<std::FILE, FileCloser> file(
+      std::fopen(path.c_str(), "rb"));
+  if (!file) return ReadStatus::kMissing;
+  struct stat st;
+  if (::fstat(::fileno(file.get()), &st) != 0 || !S_ISREG(st.st_mode)) {
+    return ReadStatus::kCorrupt;
+  }
+  // Unbuffered, so fread reads straight into `out`.
+  std::setvbuf(file.get(), nullptr, _IONBF, 0);
+  out->resize(static_cast<size_t>(st.st_size));
+  if (std::fread(out->data(), 1, out->size(), file.get()) != out->size()) {
+    return ReadStatus::kCorrupt;
+  }
+  return ReadStatus::kOk;
+}
 
 uint64_t NowSteadyUs() {
   return static_cast<uint64_t>(
@@ -185,18 +213,22 @@ std::string ResultCache::BlobPath(const SessionKey& key) const {
 
 ResultCache::EntryPtr ResultCache::LoadBlob(const SessionKey& key) {
   if (options_.dir.empty()) return nullptr;
-  std::ifstream in(BlobPath(key), std::ios::binary);
-  if (!in) return nullptr;  // plain miss, not corruption
-
-  std::vector<uint8_t> blob((std::istreambuf_iterator<char>(in)),
-                            std::istreambuf_iterator<char>());
-  in.close();
 
   const auto reject = [this]() -> EntryPtr {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.corrupt;
     return nullptr;
   };
+
+  std::vector<uint8_t> blob;
+  switch (ReadWholeFile(BlobPath(key), &blob)) {
+    case ReadStatus::kMissing:
+      return nullptr;  // plain miss, not corruption
+    case ReadStatus::kCorrupt:
+      return reject();
+    case ReadStatus::kOk:
+      break;
+  }
 
   ByteReader r(blob);
   char magic[4] = {};
@@ -219,8 +251,10 @@ ResultCache::EntryPtr ResultCache::LoadBlob(const SessionKey& key) {
 
   auto entry = std::make_shared<Entry>();
   entry->compute_us = compute_us;
-  std::vector<uint8_t> payload_copy(payload, payload + payload_size);
-  if (!DecodeResult(payload_copy, &entry->result)) return reject();
+  if (!DecodeResult(payload, static_cast<size_t>(payload_size),
+                    &entry->result)) {
+    return reject();
+  }
   return entry;
 }
 
@@ -276,10 +310,16 @@ void ResultCache::StoreBlob(const SessionKey& key, const Entry& entry) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.stores;
   }
-  EvictOverCap();
+  std::lock_guard<std::mutex> lock(disk_mutex_);
+  if (disk_bytes_) {
+    *disk_bytes_ += w.bytes().size() + payload.size();
+    if (*disk_bytes_ > options_.max_disk_bytes) disk_bytes_ = EvictOverCap();
+  } else {
+    disk_bytes_ = EvictOverCap();  // the scan already sees this blob
+  }
 }
 
-void ResultCache::EvictOverCap() {
+uint64_t ResultCache::EvictOverCap() {
   std::error_code ec;
   struct BlobFile {
     fs::path path;
@@ -290,7 +330,7 @@ void ResultCache::EvictOverCap() {
   uint64_t total = 0;
   for (const fs::directory_entry& e :
        fs::directory_iterator(options_.dir, ec)) {
-    if (ec) return;
+    if (ec) return total;
     if (e.path().extension() != kBlobSuffix) continue;
     std::error_code stat_ec;
     const uint64_t size = e.file_size(stat_ec);
@@ -300,7 +340,7 @@ void ResultCache::EvictOverCap() {
     files.push_back({e.path(), size, mtime});
     total += size;
   }
-  if (total <= options_.max_disk_bytes) return;
+  if (total <= options_.max_disk_bytes) return total;
 
   std::sort(files.begin(), files.end(),
             [](const BlobFile& a, const BlobFile& b) {
@@ -316,6 +356,7 @@ void ResultCache::EvictOverCap() {
       ++stats_.evictions;
     }
   }
+  return total;
 }
 
 // --- SessionResult blob codec -----------------------------------------------
@@ -409,9 +450,9 @@ std::vector<uint8_t> ResultCache::EncodeResult(
   return w.Take();
 }
 
-bool ResultCache::DecodeResult(const std::vector<uint8_t>& payload,
+bool ResultCache::DecodeResult(const uint8_t* payload, size_t size,
                                rtc::SessionResult* out) {
-  ByteReader r(payload);
+  ByteReader r(payload, size);
   rtc::SessionResult res;
 
   res.scheme_name = r.Str();
@@ -440,7 +481,7 @@ bool ResultCache::DecodeResult(const std::vector<uint8_t>& payload,
   s.total_reencodes = r.I64();
 
   const uint64_t n_frames = r.U64();
-  if (!r.ok() || n_frames > payload.size()) return false;  // size sanity
+  if (!r.ok() || n_frames > size) return false;  // size sanity
   res.frames.reserve(static_cast<size_t>(n_frames));
   for (uint64_t i = 0; i < n_frames && r.ok(); ++i) {
     metrics::FrameRecord f;
@@ -461,7 +502,7 @@ bool ResultCache::DecodeResult(const std::vector<uint8_t>& payload,
   }
 
   const uint64_t n_points = r.U64();
-  if (!r.ok() || n_points > payload.size()) return false;
+  if (!r.ok() || n_points > size) return false;
   res.timeseries.reserve(static_cast<size_t>(n_points));
   for (uint64_t i = 0; i < n_points && r.ok(); ++i) {
     metrics::TimeseriesPoint p;

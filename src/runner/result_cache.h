@@ -10,7 +10,8 @@
 //    directory) never expose partial files.
 //
 // The disk tier is fail-safe by construction: a truncated, corrupted,
-// version-mismatched, or fingerprint-mismatched blob is treated as a miss —
+// version-mismatched, or fingerprint-mismatched blob (or anything at the
+// blob path that is not a regular file) is treated as a miss —
 // the session is recomputed and the blob overwritten. The cache can slow a
 // run down (never) or lose entries (harmless); it cannot crash a run or
 // serve stale results, because the key embeds kSimFingerprint and the blob
@@ -19,6 +20,7 @@
 // Lookups happen once per session, strictly off the per-event hot path.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -47,7 +49,12 @@ class ResultCache {
   struct Options {
     /// On-disk store directory; empty = in-memory tier only.
     std::string dir;
-    /// Disk-tier size cap; oldest blobs (by mtime) are evicted past it.
+    /// Disk-tier size cap. Each cache keeps a running byte total of the
+    /// directory: one scan at its first store, then the size of every blob
+    /// it writes. Once the total passes the cap, an exact sweep evicts the
+    /// oldest blobs (by mtime) and resets the total. Blobs that other caches
+    /// or processes write into the directory count at this cache's next
+    /// sweep.
     uint64_t max_disk_bytes = 512ull * 1024 * 1024;
   };
 
@@ -107,8 +114,12 @@ class ResultCache {
   /// Payload encoding of a SessionResult (field-by-field, little-endian).
   static std::vector<uint8_t> EncodeResult(const rtc::SessionResult& result);
   /// Inverse of EncodeResult; false on any truncation/garbage.
-  static bool DecodeResult(const std::vector<uint8_t>& payload,
+  static bool DecodeResult(const uint8_t* payload, size_t size,
                            rtc::SessionResult* out);
+  static bool DecodeResult(const std::vector<uint8_t>& payload,
+                           rtc::SessionResult* out) {
+    return DecodeResult(payload.data(), payload.size(), out);
+  }
 
  private:
   struct Entry {
@@ -121,16 +132,28 @@ class ResultCache {
   std::string BlobPath(const SessionKey& key) const;
   /// Loads and fully validates a blob; nullptr on miss or corruption.
   EntryPtr LoadBlob(const SessionKey& key);
-  /// Writes a blob atomically (temp + rename), then runs the eviction sweep.
+  /// Writes a blob atomically (temp + rename) and adds its size to the
+  /// running disk total; runs the eviction sweep once the total passes the
+  /// cap (and at this cache's first store, to seed the total).
   void StoreBlob(const SessionKey& key, const Entry& entry);
-  /// Deletes oldest blobs until the directory fits the size cap.
-  void EvictOverCap();
+  /// Exact sweep: lists and stats every blob, deletes the oldest until the
+  /// directory fits the size cap, and returns the bytes left.
+  uint64_t EvictOverCap();
 
   Options options_;
 
   mutable std::mutex mutex_;
   std::unordered_map<SessionKey, std::shared_future<EntryPtr>> inflight_;
   Stats stats_;
+
+  /// Guards disk_bytes_ and serializes sweeps. Taken before mutex_, never
+  /// while holding it.
+  std::mutex disk_mutex_;
+  /// Running byte total of the blob directory; nullopt until the first
+  /// store scans it. Every blob this cache writes is added, overwrites
+  /// twice, so apart from other caches' blobs the total is never below
+  /// the directory's true size: the sweep can run early, never late.
+  std::optional<uint64_t> disk_bytes_;
 };
 
 }  // namespace rave::runner

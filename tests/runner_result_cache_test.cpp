@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -36,6 +37,15 @@ std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "/rave_cache_" + name;
   fs::remove_all(dir);
   return dir;
+}
+
+/// Total size of the regular files in `dir`.
+uint64_t DirBytes(const std::string& dir) {
+  uint64_t total = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.is_regular_file()) total += entry.file_size();
+  }
+  return total;
 }
 
 void ExpectBitIdentical(const rtc::SessionResult& a,
@@ -176,31 +186,52 @@ TEST(ResultCacheTest, CorruptedBlobsAreMissesNotCrashes) {
   }
   ASSERT_GT(pristine.size(), 64u);
 
+  // A directory where the blob should be is read as corrupt (never as a
+  // bogus size) and recomputed; the store cannot rename over a directory.
+  {
+    SCOPED_TRACE("directory at blob path");
+    fs::remove(blob);
+    fs::create_directory(blob);
+    runner::ResultCache cache({dir});
+    const auto recomputed = cache.GetOrCompute(key, compute);
+    ExpectBitIdentical(reference, recomputed);
+    EXPECT_EQ(cache.stats().corrupt, 1u);
+    EXPECT_EQ(cache.stats().computes, 1u);
+    EXPECT_EQ(cache.stats().stores, 0u);
+    fs::remove(blob);
+  }
+
+  const auto flipped = [&](size_t at) {
+    std::vector<char> bytes = pristine;
+    bytes[at] = static_cast<char>(bytes[at] ^ 0x5a);
+    return bytes;
+  };
+  const auto truncated = [&](size_t size) {
+    return std::vector<char>(pristine.begin(), pristine.begin() + size);
+  };
+  std::vector<char> trailing = pristine;
+  trailing.push_back(0);
   struct Corruption {
     const char* name;
-    size_t resize;   // 0 = keep size
-    size_t flip_at;  // byte to XOR when resize == 0
+    std::vector<char> bytes;
   };
   const Corruption corruptions[] = {
-      {"bad magic", 0, 0},
-      {"bad header", 0, 24},
-      {"bad payload", 0, pristine.size() - 9},
-      {"truncated header", 16, 0},
-      {"truncated payload", pristine.size() / 2, 0},
-      {"empty file", 1, 0},
+      {"bad magic", flipped(0)},
+      {"bad header", flipped(24)},
+      {"bad payload", flipped(pristine.size() - 9)},
+      {"truncated header", truncated(16)},
+      {"truncated payload", truncated(pristine.size() / 2)},
+      {"one-byte file", truncated(1)},
+      {"empty file", {}},
+      {"bytes after payload", trailing},
   };
   for (const Corruption& c : corruptions) {
     SCOPED_TRACE(c.name);
-    std::vector<char> bytes = pristine;
-    if (c.resize > 0) {
-      bytes.resize(c.resize);
-    } else {
-      bytes[c.flip_at] = static_cast<char>(bytes[c.flip_at] ^ 0x5a);
-    }
     {
       std::ofstream out(blob, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+      out.write(c.bytes.data(), static_cast<std::streamsize>(c.bytes.size()));
     }
+    ASSERT_EQ(fs::file_size(blob), c.bytes.size());
     runner::ResultCache cache({dir});
     const auto recomputed = cache.GetOrCompute(key, compute);
     ExpectBitIdentical(reference, recomputed);
@@ -315,6 +346,74 @@ TEST(ResultCacheTest, EvictionKeepsDirectoryUnderCap) {
     ++blobs;
   }
   EXPECT_LE(blobs, 1u);
+  fs::remove_all(dir);
+}
+
+// A second cache on a filled directory counts the blobs already there at
+// its first store, so one blob past the cap evicts the oldest.
+TEST(ResultCacheTest, EvictionCountsBlobsWrittenBeforeThisCache) {
+  const std::string dir = FreshDir("evict_existing");
+  std::vector<std::string> paths;
+  {
+    runner::ResultCache cache({dir});
+    for (uint64_t seed = 31; seed < 34; ++seed) {
+      const auto config = SmallConfig(seed);
+      const runner::SessionKey key = runner::ComputeSessionKey(config);
+      cache.GetOrCompute(key, [&] { return rtc::RunSession(config); });
+      paths.push_back(dir + "/" + key.ToHex() + ".rrc");
+    }
+    EXPECT_EQ(cache.stats().evictions, 0u);
+  }
+  // Spell out the mtime order rather than rely on timestamp granularity:
+  // paths[0] is the oldest by an hour per step.
+  const auto now = fs::file_time_type::clock::now();
+  for (size_t i = 0; i < paths.size(); ++i) {
+    fs::last_write_time(
+        paths[i], now - std::chrono::hours(static_cast<int>(paths.size() - i)));
+  }
+
+  runner::ResultCache::Options options;
+  options.dir = dir;
+  options.max_disk_bytes = DirBytes(dir) + 1;
+  runner::ResultCache cache(options);
+  const auto config = SmallConfig(34);
+  const runner::SessionKey key = runner::ComputeSessionKey(config);
+  cache.GetOrCompute(key, [&] { return rtc::RunSession(config); });
+
+  EXPECT_FALSE(fs::exists(paths[0]));
+  EXPECT_TRUE(fs::exists(dir + "/" + key.ToHex() + ".rrc"));
+  EXPECT_GE(cache.stats().evictions, 1u);
+  EXPECT_LE(DirBytes(dir), options.max_disk_bytes);
+  fs::remove_all(dir);
+}
+
+// Two workers storing into one cache share its running total; the sweeps it
+// triggers keep the directory under the cap.
+TEST(ResultCacheTest, ConcurrentStoresStayUnderCap) {
+  const std::string dir = FreshDir("evict_threads");
+  const size_t blob_bytes =
+      runner::ResultCache::EncodeResult(rtc::RunSession(SmallConfig(41)))
+          .size();
+  runner::ResultCache::Options options;
+  options.dir = dir;
+  options.max_disk_bytes = blob_bytes * 5 / 2;  // room for about two blobs
+  runner::ResultCache cache(options);
+
+  auto work = [&](uint64_t first_seed) {
+    for (uint64_t seed = first_seed; seed < first_seed + 4; ++seed) {
+      const auto config = SmallConfig(seed);
+      cache.GetOrCompute(runner::ComputeSessionKey(config),
+                         [&] { return rtc::RunSession(config); });
+    }
+  };
+  std::thread ta(work, 41);
+  std::thread tb(work, 45);
+  ta.join();
+  tb.join();
+
+  EXPECT_EQ(cache.stats().stores, 8u);
+  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_LE(DirBytes(dir), options.max_disk_bytes);
   fs::remove_all(dir);
 }
 
