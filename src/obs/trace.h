@@ -101,7 +101,9 @@ class TraceRecorder {
   /// Writes Chrome trace_event JSON: `{"traceEvents": [...]}` with one
   /// event object per line (so ReadTraceJson below can parse it back),
   /// counter events as "ph":"C" and instants as "ph":"i", plus process/
-  /// thread metadata naming each subsystem row.
+  /// thread metadata naming each subsystem row. Counter values print as
+  /// printf "%.10g" would. The document is built in one buffer and handed
+  /// to `os` in a single write.
   void WriteJson(std::ostream& os) const;
   /// WriteJson to `path`; false (with the file removed) on I/O failure.
   bool WriteJsonFile(const std::string& path) const;
@@ -122,13 +124,18 @@ bool ParseTraceSpec(const std::string& spec, std::string* path,
 struct ParsedTraceEvent {
   std::string name;
   std::string phase;  ///< "C", "i" or "M"
-  std::string arg;    ///< thread/process name for "M" events
+  std::string arg;    ///< process/thread name ("M") or label ("i")
   int64_t ts_us = 0;
   double value = 0.0;
 };
 
-/// Minimal reader for WriteJson output (one event per line). Tolerates and
-/// skips unrecognized lines; false when `is` contains no events at all.
+/// Minimal reader for WriteJson output (one event per line). Reads the rest
+/// of `is` in one sized read, then walks its lines in place. A line is an
+/// event when it has a "name" and a "ph" key; other lines are skipped. A
+/// "ts"/"value" reads as the number its text starts with, parsed by
+/// std::from_chars (so no leading '+' or whitespace), and as 0 when absent,
+/// not a number or out of range. Appends to `out`; false when `is` contains
+/// no events.
 bool ReadTraceJson(std::istream& is, std::vector<ParsedTraceEvent>* out);
 
 /// The recorder installed on this thread, or nullptr (tracing disabled).

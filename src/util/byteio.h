@@ -7,6 +7,11 @@
 // bounds checking (a truncated or corrupted blob turns into `ok() == false`,
 // never undefined behaviour). Doubles are encoded as their IEEE-754 bit
 // pattern, so round-trips are bit-exact.
+//
+// Each fixed-width field costs one capacity check and one memcpy of the
+// value in little-endian order: a no-op conversion on little-endian hosts,
+// a byte swap on big-endian ones. The byte layout is pinned by
+// tests/util_byteio_test.cpp.
 #pragma once
 
 #include <bit>
@@ -17,15 +22,29 @@
 
 namespace rave {
 
+namespace byteio_detail {
+
+/// `v` with its bytes in little-endian order (identity on little-endian
+/// hosts). Applying it twice restores `v`, so it also decodes.
+template <typename T>
+constexpr T LittleEndian(T v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    T swapped = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      swapped = static_cast<T>((swapped << 8) | ((v >> (8 * i)) & 0xff));
+    }
+    return swapped;
+  }
+  return v;
+}
+
+}  // namespace byteio_detail
+
 class ByteWriter {
  public:
   void U8(uint8_t v) { buf_.push_back(v); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
+  void U32(uint32_t v) { Put(v); }
+  void U64(uint64_t v) { Put(v); }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
   void F64(double v) { U64(std::bit_cast<uint64_t>(v)); }
   void Bool(bool v) { U8(v ? 1 : 0); }
@@ -40,6 +59,14 @@ class ByteWriter {
   std::vector<uint8_t> Take() { return std::move(buf_); }
 
  private:
+  template <typename T>
+  void Put(T v) {
+    v = byteio_detail::LittleEndian(v);
+    const size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    std::memcpy(buf_.data() + at, &v, sizeof(T));
+  }
+
   std::vector<uint8_t> buf_;
 };
 
@@ -56,18 +83,8 @@ class ByteReader {
     if (!Need(1)) return 0;
     return data_[pos_++];
   }
-  uint32_t U32() {
-    if (!Need(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-    return v;
-  }
-  uint64_t U64() {
-    if (!Need(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-    return v;
-  }
+  uint32_t U32() { return Get<uint32_t>(); }
+  uint64_t U64() { return Get<uint64_t>(); }
   int64_t I64() { return static_cast<int64_t>(U64()); }
   double F64() { return std::bit_cast<double>(U64()); }
   bool Bool() { return U8() != 0; }
@@ -96,6 +113,17 @@ class ByteReader {
       return false;
     }
     return true;
+  }
+
+  /// The next sizeof(T) bytes as a little-endian value, or zero once the
+  /// stream is bad.
+  template <typename T>
+  T Get() {
+    T v = 0;
+    if (!Need(sizeof(T))) return v;
+    std::memcpy(&v, data_ + pos_, sizeof(T));
+    pos_ += sizeof(T);
+    return byteio_detail::LittleEndian(v);
   }
 
   const uint8_t* data_;

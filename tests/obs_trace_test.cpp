@@ -1,14 +1,19 @@
 // Trace-recorder tests: spec parsing, sampling, JSON well-formedness (the
 // emitted file must parse back with every event and subsystem track
-// intact), and schedule-independence — a traced session must produce
-// byte-identical JSON whether its worker pool has 1 thread or 8.
+// intact), the exact bytes WriteJson emits, the reader's tolerance for
+// truncated and unterminated input, and schedule-independence — a traced
+// session must produce byte-identical JSON whether its worker pool has 1
+// thread or 8.
 #include "obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common.h"
@@ -93,6 +98,130 @@ TEST(TraceRecorderTest, JsonRoundTripsEveryEvent) {
   EXPECT_EQ(instants[0]->name, "encoder/keyframe");
   EXPECT_EQ(instants[0]->arg, "keyframe");
   EXPECT_EQ(instants[1]->arg, "apply:link_outage");
+}
+
+/// One "C" event line exactly as WriteJson must format it, with the value
+/// printed by printf's "%.10g".
+std::string CounterLine(const char* name, int tid, int64_t ts, double value) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "{\"name\": \"%s\", \"ph\": \"C\", \"pid\": 1, \"tid\": %d, "
+                "\"ts\": %lld, \"args\": {\"value\": %.10g}}",
+                name, tid, static_cast<long long>(ts), value);
+  return buf;
+}
+
+TEST(TraceRecorderTest, JsonMatchesGoldenText) {
+  const std::vector<double> values = {
+      0.0,  -0.0, 0.1, 1e-7, 27.5, 123456789.0123, 9007199254740993.0,
+      1e21, -42.125};
+  TraceRecorder recorder;
+  for (size_t i = 0; i < values.size(); ++i) {
+    recorder.Counter(Track::kVbvFill,
+                     Timestamp::Micros(static_cast<int64_t>(i) * 1001 - 7),
+                     values[i]);
+  }
+  recorder.Counter(Track::kCapacityKbps, Timestamp::Seconds(3), 2500.0);
+  recorder.Instant(Track::kFaultInjection, Timestamp::Micros(123456789012),
+                   "q\"b\\c\x01" "d\x1f");
+
+  std::string want = "{\"traceEvents\": [\n";
+  want += "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, "
+          "\"tid\": 0, \"args\": {\"name\": \"rave session\"}},\n";
+  const char* subsystems[] = {"encoder", "codec", "cc",    "transport",
+                              "net",     "core",  "fault", "session"};
+  for (int tid = 1; tid <= 8; ++tid) {
+    want += "{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, "
+            "\"tid\": " + std::to_string(tid) +
+            ", \"args\": {\"name\": \"" + subsystems[tid - 1] + "\"}},\n";
+  }
+  for (size_t i = 0; i < values.size(); ++i) {
+    want += CounterLine("codec/vbv_fill", 2, static_cast<int64_t>(i) * 1001 - 7,
+                        values[i]) + ",\n";
+  }
+  want += CounterLine("session/capacity_kbps", 8, 3'000'000, 2500.0) + ",\n";
+  want += "{\"name\": \"fault/injection\", \"ph\": \"i\", \"pid\": 1, "
+          "\"tid\": 7, \"ts\": 123456789012, \"s\": \"t\", "
+          "\"args\": {\"label\": \"q\\\"b\\\\c\\u0001d\\u001f\"}}\n";
+  want += "]}\n";
+
+  std::ostringstream os;
+  recorder.WriteJson(os);
+  EXPECT_EQ(os.str(), want);
+}
+
+/// ReadTraceJson over `text`; the parse result and the events.
+std::pair<bool, std::vector<ParsedTraceEvent>> Parse(const std::string& text) {
+  std::istringstream is(text);
+  std::vector<ParsedTraceEvent> parsed;
+  const bool ok = ReadTraceJson(is, &parsed);
+  return {ok, parsed};
+}
+
+TEST(ReadTraceJsonTest, EmptyStreamHasNoEvents) {
+  const auto [ok, parsed] = Parse("");
+  EXPECT_FALSE(ok);
+  EXPECT_TRUE(parsed.empty());
+  EXPECT_FALSE(Parse("{\"traceEvents\": [\n]}\n").first);
+}
+
+TEST(ReadTraceJsonTest, LastLineWithoutNewline) {
+  const auto [ok, parsed] =
+      Parse("{\"traceEvents\": [\n" + CounterLine("encoder/qp", 1, 5, 2.0) +
+            ",\n" + CounterLine("cc/bwe_kbps", 3, 9, 1750.5));
+  ASSERT_TRUE(ok);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[1].name, "cc/bwe_kbps");
+  EXPECT_EQ(parsed[1].phase, "C");
+  EXPECT_EQ(parsed[1].ts_us, 9);
+  EXPECT_DOUBLE_EQ(parsed[1].value, 1750.5);
+}
+
+TEST(ReadTraceJsonTest, TruncatedLastLine) {
+  const std::string head =
+      "{\"traceEvents\": [\n" + CounterLine("encoder/qp", 1, 5, 2.0) + ",\n";
+  const std::string last = CounterLine("cc/bwe_kbps", 3, 1234, 27.5);
+
+  // Cut inside the value: the number parsed so far is kept.
+  auto [ok, parsed] = Parse(head + last.substr(0, last.find("27.5") + 3));
+  ASSERT_TRUE(ok);
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[1].ts_us, 1234);
+  EXPECT_DOUBLE_EQ(parsed[1].value, 27.0);
+
+  // Cut inside the timestamp, before any value.
+  std::tie(ok, parsed) = Parse(head + last.substr(0, last.find("1234") + 2));
+  ASSERT_EQ(parsed.size(), 2u);
+  EXPECT_EQ(parsed[1].name, "cc/bwe_kbps");
+  EXPECT_EQ(parsed[1].ts_us, 12);
+  EXPECT_DOUBLE_EQ(parsed[1].value, 0.0);
+
+  // Cut before the phase: the line is not an event.
+  std::tie(ok, parsed) = Parse(head + last.substr(0, last.find("\"ph\"")));
+  EXPECT_EQ(parsed.size(), 1u);
+  std::tie(ok, parsed) = Parse(head + "{\"name\": \"cc/bw");
+  EXPECT_EQ(parsed.size(), 1u);
+}
+
+TEST(ReadTraceJsonTest, LabelTextDoesNotShadowKeys) {
+  TraceRecorder recorder;
+  recorder.Instant(Track::kFaultInjection, Timestamp::Millis(7),
+                   "\"name\": \"x\", \"ph\": \"C\", \"ts\": 99, \\ok");
+  recorder.Counter(Track::kEncoderQp, Timestamp::Millis(8), 31.0);
+  std::ostringstream os;
+  recorder.WriteJson(os);
+  const auto [ok, parsed] = Parse(os.str());
+  ASSERT_TRUE(ok);
+  ASSERT_EQ(parsed.size(), 11u);  // process + 8 thread rows + 2 events
+  const ParsedTraceEvent& instant = parsed[9];
+  EXPECT_EQ(instant.name, "fault/injection");
+  EXPECT_EQ(instant.phase, "i");
+  EXPECT_EQ(instant.ts_us, 7000);
+  EXPECT_EQ(instant.arg, "\"name\": \"x\", \"ph\": \"C\", \"ts\": 99, \\ok");
+  EXPECT_EQ(parsed[10].name, "encoder/qp");
+  EXPECT_DOUBLE_EQ(parsed[10].value, 31.0);
+  EXPECT_EQ(parsed[1].phase, "M");
+  EXPECT_EQ(parsed[1].arg, "encoder");
 }
 
 TEST(TraceScopeTest, InstallsAndRestores) {
