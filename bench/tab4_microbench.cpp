@@ -604,15 +604,9 @@ int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
                          int batch, const std::string& json_path) {
   const auto configs = ThroughputMatrix(sessions, duration);
 
-  // Reset the process-wide runtime roll-up so the dispatched-event count
-  // (and the train-amortization factor derived from it) covers exactly the
-  // serial pass.
-  obs::RuntimeStats::Instance().Reset();
   const auto serial_start = std::chrono::steady_clock::now();
   const auto serial = runner::RunSessions(configs, /*jobs=*/1);
   const double serial_s = WallSeconds(serial_start);
-  const uint64_t dispatched =
-      obs::RuntimeStats::Instance().total_events_dispatched();
 
   const int parallel_jobs = jobs > 0 ? jobs : runner::DefaultJobs();
   const auto parallel_start = std::chrono::steady_clock::now();
@@ -662,12 +656,6 @@ int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
   table.Print(std::cout);
   std::cout << "parallel results bit-identical to serial: "
             << (identical ? "yes" : "NO — DETERMINISM VIOLATION") << "\n";
-  if (dispatched > 0) {
-    std::cout << "event coalescing: " << events << " logical events in "
-              << dispatched << " dispatches ("
-              << static_cast<double>(events) / static_cast<double>(dispatched)
-              << "x train amortization)\n";
-  }
 
   // Batch sweep: sim-seconds simulated per wall-second on ONE core, the
   // number the SoA/simd batching moves. Full sessions batch the whole
@@ -748,12 +736,6 @@ int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
          << "  \"parallel_sessions_per_s\": " << parallel_sps << ",\n"
          << "  \"speedup\": " << serial_s / parallel_s << ",\n"
          << "  \"events_executed\": " << events << ",\n"
-         << "  \"events_dispatched\": " << dispatched << ",\n"
-         << "  \"train_amortization\": "
-         << (dispatched > 0
-                 ? static_cast<double>(events) / static_cast<double>(dispatched)
-                 : 1.0)
-         << ",\n"
          << "  \"serial_events_per_s\": "
          << static_cast<double>(events) / serial_s << ",\n"
          << "  \"parallel_identical\": " << (identical ? "true" : "false")

@@ -99,9 +99,9 @@ void GccEstimator::OnPacketResults(
                      static_cast<double>(trendline_.state()));
   RAVE_TRACE_COUNTER(kLossRate, now, loss_rate());
   if (obs::MetricsRegistry* reg = obs::CurrentMetrics()) {
-    reg->GetCounter("cc.feedback_updates")->Add();
+    feedback_updates_metric_.Get(*reg)->Add();
     if (usage == BandwidthUsage::kOverusing) {
-      reg->GetCounter("cc.overuse_signals")->Add();
+      overuse_signals_metric_.Get(*reg)->Add();
     }
   }
 }

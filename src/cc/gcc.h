@@ -10,6 +10,7 @@
 #include "cc/bwe.h"
 #include "cc/inter_arrival.h"
 #include "cc/trendline.h"
+#include "obs/metrics_registry.h"
 #include "util/stats.h"
 
 namespace rave::cc {
@@ -100,6 +101,10 @@ class GccEstimator : public BandwidthEstimator {
   LossBasedControl loss_;
   AckedBitrateEstimator acked_;
   std::optional<TimeDelta> rtt_;
+  obs::MetricHandle<obs::Counter> feedback_updates_metric_{
+      "cc.feedback_updates"};
+  obs::MetricHandle<obs::Counter> overuse_signals_metric_{
+      "cc.overuse_signals"};
 };
 
 }  // namespace rave::cc

@@ -94,7 +94,7 @@ EncodedFrame Encoder::FinishFrame(FrameControlStep& step) {
   if (step.guidance.skip) {
     out.skipped = true;
     if (obs::MetricsRegistry* reg = obs::CurrentMetrics()) {
-      reg->GetCounter("encoder.frames_skipped")->Add();
+      frames_skipped_metric_.Get(*reg)->Add();
     }
     FrameOutcome outcome;
     outcome.frame_id = frame.frame_id;
@@ -169,13 +169,12 @@ EncodedFrame Encoder::FinishFrame(FrameControlStep& step) {
     RAVE_TRACE_INSTANT(kEncoderKeyframe, now, "keyframe");
   }
   if (obs::MetricsRegistry* reg = obs::CurrentMetrics()) {
-    reg->GetCounter("encoder.frames_encoded")->Add();
-    if (type == FrameType::kKey) reg->GetCounter("encoder.keyframes")->Add();
+    frames_encoded_metric_.Get(*reg)->Add();
+    if (type == FrameType::kKey) keyframes_metric_.Get(*reg)->Add();
     if (reencodes > 0) {
-      reg->GetCounter("encoder.reencodes")
-          ->Add(static_cast<uint64_t>(reencodes));
+      reencodes_metric_.Get(*reg)->Add(static_cast<uint64_t>(reencodes));
     }
-    reg->GetSketch("encoder.qp")->Record(qp);
+    qp_metric_.Get(*reg)->Record(qp);
   }
 
   FrameOutcome outcome;

@@ -11,6 +11,7 @@
 #include "codec/frame_staging.h"
 #include "codec/rate_control.h"
 #include "codec/rd_model.h"
+#include "obs/metrics_registry.h"
 #include "util/rng.h"
 #include "util/time.h"
 #include "util/units.h"
@@ -107,6 +108,13 @@ class Encoder {
   int64_t frames_since_key_ = 0;
   int64_t frames_encoded_ = 0;
   Timestamp last_keyframe_time_ = Timestamp::MinusInfinity();
+  obs::MetricHandle<obs::Counter> frames_skipped_metric_{
+      "encoder.frames_skipped"};
+  obs::MetricHandle<obs::Counter> frames_encoded_metric_{
+      "encoder.frames_encoded"};
+  obs::MetricHandle<obs::Counter> keyframes_metric_{"encoder.keyframes"};
+  obs::MetricHandle<obs::Counter> reencodes_metric_{"encoder.reencodes"};
+  obs::MetricHandle<obs::QuantileSketch> qp_metric_{"encoder.qp"};
 };
 
 }  // namespace rave::codec

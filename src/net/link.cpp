@@ -63,9 +63,6 @@ void Link::StartNext() {
 
 void Link::OnTransmitComplete() {
   const obs::StageTimer::Scope timer(obs::StageTimer::kLink);
-  // Tracing disables time stepping (staging-rendezvous precedent): counter
-  // emission stays on its per-event cadence, results are identical anyway.
-  const bool may_step = obs::CurrentTrace() == nullptr;
   for (;;) {
     assert(in_flight_);
     const Packet packet = *in_flight_;
@@ -76,8 +73,6 @@ void Link::OnTransmitComplete() {
     // but never reaches the receiver.
     double loss_p = config_.loss.random_loss;
     if (config_.loss.gilbert_enabled) {
-      // Exact under stepped time: the chain advances as a pure function of
-      // sim-time, so a train never needs to split at a Gilbert transition.
       AdvanceGilbert(loop_.now());
       if (gilbert_.bad()) {
         loss_p = std::max(loss_p, config_.loss.gilbert_bad_loss);
@@ -95,10 +90,9 @@ void Link::OnTransmitComplete() {
       Deliver(packet);
     }
 
-    // Inline StartNext with the packet-train fast path: serialize the next
-    // queued packet without leaving the callback when the event loop grants
-    // the step. Any refusal re-arms `completion_` exactly where StartNext
-    // did, preserving the invariant the outage/handover hooks rely on.
+    // Inline StartNext: arm the next completion exactly where StartNext
+    // does, preserving the invariant the outage/handover hooks rely on. A
+    // sub-µs serialization completes at now(), so it is processed inline.
     if (outage_ || queue_.empty()) return;
     in_flight_ = std::move(queue_.front());
     queue_.pop_front();
@@ -108,11 +102,10 @@ void Link::OnTransmitComplete() {
     const TimeDelta tx_time = TimeDelta::SecondsF(
         remaining_bits_ / static_cast<double>(current_rate_.bps()));
     const Timestamp done = loop_.now() + tx_time;
-    if (done > loop_.now() && (!may_step || !loop_.TryAdvanceTo(done))) {
+    if (done > loop_.now()) {
       completion_ = loop_.ScheduleAt(done, [this] { OnTransmitComplete(); });
       return;
     }
-    // Sub-µs serialization or granted step: complete inline.
   }
 }
 
@@ -173,23 +166,16 @@ void Link::Deliver(const Packet& packet) {
 
 void Link::OnArrivalTimer() {
   arrival_armed_ = false;
-  const bool may_step = obs::CurrentTrace() == nullptr;
-  for (;;) {
-    while (!arrivals_.empty() && arrivals_.front().at <= loop_.now()) {
-      // Pop before delivering: the callback may feed packets back into the
-      // session pipeline and must see a consistent queue.
-      PendingArrival a = std::move(arrivals_.front());
-      arrivals_.pop_front();
-      on_delivery_(a.packet, a.at);
-    }
-    if (arrivals_.empty()) return;
-    const Timestamp next = arrivals_.front().at;
-    if (!may_step || !loop_.TryAdvanceTo(next)) {
-      arrival_armed_ = true;
-      loop_.ScheduleAt(next, [this] { OnArrivalTimer(); });
-      return;
-    }
+  while (!arrivals_.empty() && arrivals_.front().at <= loop_.now()) {
+    // Pop before delivering: the callback may feed packets back into the
+    // session pipeline and must see a consistent queue.
+    PendingArrival a = std::move(arrivals_.front());
+    arrivals_.pop_front();
+    on_delivery_(a.packet, a.at);
   }
+  if (arrivals_.empty()) return;
+  arrival_armed_ = true;
+  loop_.ScheduleAt(arrivals_.front().at, [this] { OnArrivalTimer(); });
 }
 
 void Link::SetOutage(bool on) {

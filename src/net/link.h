@@ -126,18 +126,15 @@ class Link {
 
  private:
   void StartNext();
-  /// Serializer-completion drain. Completes the in-flight packet, then keeps
-  /// serializing queued packets inline as long as the event loop grants
-  /// TryAdvanceTo — one event per packet train instead of one per packet.
-  /// Whenever the step is refused (RAVE_NO_COALESCE, an intervening event
-  /// such as a rate change / fault edge / tick, tracing, or the run bound)
-  /// it arms a completion event exactly where the per-packet scheduler did,
-  /// so the outage/handover hooks always find an armed `completion_`.
+  /// Serializer-completion event. Completes the in-flight packet, starts
+  /// the next queued one and arms its completion event, so the
+  /// outage/handover hooks always find an armed `completion_`. Packets whose
+  /// serialization rounds to zero µs complete inline in the same event.
   void OnTransmitComplete();
-  /// In-order arrival drain: delivers queued receiver-side arrivals,
-  /// stepping time between them when granted. Reordered and duplicated
-  /// deliveries bypass the queue (their arrival order is the fault being
-  /// injected) and keep per-packet events.
+  /// In-order arrival drain: delivers every queued receiver-side arrival
+  /// that is due, then arms one event for the next. Reordered and
+  /// duplicated deliveries bypass the queue (their arrival order is the
+  /// fault being injected) and keep per-packet events.
   void OnArrivalTimer();
   void OnRateChange();
   /// Recomputes the effective serialization rate (override > handover >

@@ -1,6 +1,7 @@
 #include "obs/metrics_registry.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 
 #include "util/byteio.h"
@@ -217,6 +218,11 @@ RegistrySnapshot RegistrySnapshot::Decode(ByteReader& r) {
   return snap;
 }
 
+MetricsRegistry::MetricsRegistry() {
+  static std::atomic<uint64_t> next_serial{1};
+  serial_ = next_serial.fetch_add(1);
+}
+
 MetricsRegistry::Entry* MetricsRegistry::FindOrNull(std::string_view name,
                                                     MetricKind kind) {
   const auto it = by_name_.find(name);
@@ -312,28 +318,16 @@ RuntimeStats& RuntimeStats::Instance() {
 }
 
 void RuntimeStats::RecordSession(double wall_ms, uint64_t events,
-                                 uint64_t dispatched, uint64_t allocs,
-                                 uint64_t frames) {
+                                 uint64_t allocs, uint64_t frames) {
   const std::lock_guard<std::mutex> lock(mu_);
   session_wall_ms_.Record(wall_ms);
-  if (dispatched > 0) {
-    dispatch_ns_.Record(wall_ms * 1e6 / static_cast<double>(dispatched));
+  if (events > 0) {
+    dispatch_ns_.Record(wall_ms * 1e6 / static_cast<double>(events));
   }
   ++sessions_;
   events_ += events;
-  events_dispatched_ += dispatched;
   allocs_ += allocs;
   frames_ += frames;
-}
-
-uint64_t RuntimeStats::total_events() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return events_;
-}
-
-uint64_t RuntimeStats::total_events_dispatched() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return events_dispatched_;
 }
 
 RegistrySnapshot RuntimeStats::Snapshot() const {
@@ -374,13 +368,6 @@ RegistrySnapshot RuntimeStats::Snapshot() const {
   }
   snap.metrics.push_back(counter("wall.sessions", sessions_));
   snap.metrics.push_back(counter("wall.events", events_));
-  snap.metrics.push_back(counter("wall.events_dispatched", events_dispatched_));
-  if (events_dispatched_ > 0) {
-    snap.metrics.push_back(
-        gauge("wall.train_amortization",
-              static_cast<double>(events_) /
-                  static_cast<double>(events_dispatched_)));
-  }
   snap.metrics.push_back(sketch("wall.event_dispatch_ns", dispatch_ns_));
   snap.metrics.push_back(sketch("wall.session_ms", session_wall_ms_));
   return snap;
@@ -392,7 +379,6 @@ void RuntimeStats::Reset() {
   dispatch_ns_ = QuantileSketch{};
   sessions_ = 0;
   events_ = 0;
-  events_dispatched_ = 0;
   allocs_ = 0;
   frames_ = 0;
 }

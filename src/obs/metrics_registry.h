@@ -27,6 +27,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -148,6 +149,14 @@ struct RegistrySnapshot {
 /// per-frame call sites stay inside the hot-path allocation budgets.
 class MetricsRegistry {
  public:
+  MetricsRegistry();
+  MetricsRegistry(const MetricsRegistry&) = delete;
+  MetricsRegistry& operator=(const MetricsRegistry&) = delete;
+
+  /// Process-unique, never 0 and never reused, so a MetricHandle can tell a
+  /// new registry from the one it bound to even at a recycled address.
+  uint64_t serial() const { return serial_; }
+
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
   /// `make_bounds` (e.g. `[] { return ExponentialBounds(1, 1e4, 10); }`) is
@@ -180,8 +189,41 @@ class MetricsRegistry {
   Entry* FindOrNull(std::string_view name, MetricKind kind);
   Entry* AddEntry(std::string_view name, MetricKind kind);
 
+  uint64_t serial_;
   std::vector<std::unique_ptr<Entry>> entries_;
   std::unordered_map<std::string, Entry*, SvHash, std::equal_to<>> by_name_;
+};
+
+/// A Counter or QuantileSketch looked up by name once per registry, for
+/// call sites on per-frame and per-report paths. Get does the string-hashed
+/// lookup the first time it sees a registry and returns the cached pointer
+/// after that. Binding waits for first use, so the registry gains the entry
+/// exactly when a direct GetCounter/GetSketch call would have created it.
+template <typename Metric>
+class MetricHandle {
+  static_assert(std::is_same_v<Metric, Counter> ||
+                std::is_same_v<Metric, QuantileSketch>);
+
+ public:
+  /// `name` must outlive the handle (call sites pass string literals).
+  explicit MetricHandle(std::string_view name) : name_(name) {}
+
+  Metric* Get(MetricsRegistry& registry) {
+    if (registry.serial() != serial_) {
+      serial_ = registry.serial();
+      if constexpr (std::is_same_v<Metric, Counter>) {
+        metric_ = registry.GetCounter(name_);
+      } else {
+        metric_ = registry.GetSketch(name_);
+      }
+    }
+    return metric_;
+  }
+
+ private:
+  std::string_view name_;
+  uint64_t serial_ = 0;
+  Metric* metric_ = nullptr;
 };
 
 /// Process-wide roll-up of host-side session measurements (wall clock,
@@ -194,17 +236,10 @@ class RuntimeStats {
  public:
   static RuntimeStats& Instance();
 
-  /// Called once per Session::Run with host-side measurements of that run.
-  /// `events` is the logical event count (mode-invariant, the one in
-  /// SessionResult); `dispatched` is how many scheduler callbacks actually
-  /// fired — event coalescing shrinks it, and events/dispatched is the
-  /// train-amortization factor.
-  void RecordSession(double wall_ms, uint64_t events, uint64_t dispatched,
-                     uint64_t allocs, uint64_t frames);
-
-  /// Raw totals since the last Reset (tab4's amortization reporting).
-  uint64_t total_events() const;
-  uint64_t total_events_dispatched() const;
+  /// Called once per Session::Run with host-side measurements of that run;
+  /// `events` is the event count in SessionResult.
+  void RecordSession(double wall_ms, uint64_t events, uint64_t allocs,
+                     uint64_t frames);
 
   /// Snapshot under the same MetricSnapshot schema as session registries:
   /// `wall.session_ms` / `wall.event_dispatch_ns` sketches plus
@@ -219,7 +254,6 @@ class RuntimeStats {
   QuantileSketch dispatch_ns_;
   uint64_t sessions_ = 0;
   uint64_t events_ = 0;
-  uint64_t events_dispatched_ = 0;
   uint64_t allocs_ = 0;
   uint64_t frames_ = 0;
 };

@@ -586,7 +586,7 @@ SessionResult Session::Finish() {
 
   obs::RuntimeStats::Instance().RecordSession(
       static_cast<double>(wall_ns) * 1e-6, result.events_executed,
-      loop_.events_dispatched(), AllocProbeEnabled() ? run_allocs : 0,
+      AllocProbeEnabled() ? run_allocs : 0,
       static_cast<uint64_t>(result.summary.frames_captured));
   return result;
 }

@@ -36,8 +36,9 @@ namespace rave::runner {
 ///    in-order arrivals into shared drain loops: sub-microsecond link
 ///    serializations now process inline and equal-microsecond ties resolve
 ///    in drain order instead of per-event seq order, shifting results for
-///    some configs. (Both coalescing modes share the drains, so results do
-///    not depend on the RAVE_NO_COALESCE knob.)
+///    some configs. (The drains outlived the coalescing itself: the later
+///    removal of time stepping and its RAVE_NO_COALESCE knob kept every
+///    result byte, so it needed no bump.)
 inline constexpr uint64_t kSimFingerprint = 4;
 
 /// 128-bit content hash of a SessionConfig.

@@ -20,7 +20,6 @@ std::string BuildOptionsString() {
   os << " tracing=on";
 #endif
   os << " alloc_probe=" << (AllocProbeEnabled() ? "on" : "off");
-  os << " coalesce=" << (std::getenv("RAVE_NO_COALESCE") ? "off" : "on");
   os << " staging=" << (std::getenv("RAVE_NO_STAGING") ? "off" : "on");
   return os.str();
 }

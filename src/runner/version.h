@@ -13,10 +13,9 @@
 namespace rave::runner {
 
 /// One-line option set: compiled SIMD backend + active dispatch level,
-/// tracing, the allocation probe, and the runtime coalescing/staging knobs
-/// (RAVE_NO_COALESCE / RAVE_NO_STAGING). Example:
-///   "simd=avx2 dispatch=avx2 tracing=on alloc_probe=on coalesce=on
-///    staging=on"
+/// tracing, the allocation probe, and the runtime staging knob
+/// (RAVE_NO_STAGING). Example:
+///   "simd=avx2 dispatch=avx2 tracing=on alloc_probe=on staging=on"
 std::string BuildOptionsString();
 
 /// Multi-line human-readable version report (fingerprint, blob version,

@@ -1,13 +1,9 @@
 #include "sim/event_loop.h"
 
-#include <bit>
 #include <cassert>
-#include <cstdlib>
 #include <utility>
 
 namespace rave {
-
-EventLoop::EventLoop() : coalescing_(std::getenv("RAVE_NO_COALESCE") == nullptr) {}
 
 void EventLoop::Reserve(size_t events) {
   heap_.reserve(events);
@@ -38,20 +34,7 @@ EventHandle EventLoop::ScheduleAt(Timestamp at, Callback fn) {
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
   s.id = id;
-
-  s.at = at;
-
-  // Inside the L0 window (at >= now_ >= wheel_base_us_) the event goes
-  // straight to its µs bucket; inside the L1 horizon, to its kWheelSpanUs block;
-  // beyond that, to the overflow heap.
-  const int64_t at_us = at.us();
-  if (at_us - wheel_base_us_ < kWheelSpanUs) {
-    BucketAppend(at_us & (kWheelSpanUs - 1), slot);
-  } else if (at_us - l1_base_us_ < kL1SpanUs) {
-    L1Append((at_us >> kWheelShift) & (kL1Buckets - 1), slot);
-  } else {
-    HeapPush(Event{at, id});
-  }
+  HeapPush(Event{at, id});
   ++live_count_;
   return EventHandle(id);
 }
@@ -64,8 +47,8 @@ void EventLoop::Cancel(EventHandle handle) {
   // Stale id => the event already ran or was cancelled (and the slot
   // possibly reused by a newer event, which must survive).
   if (s.id != handle.id_) return;
-  // Destroy the captured state now; the bucket/heap entry becomes a
-  // tombstone whose slot is reclaimed when it surfaces.
+  // Destroy the captured state now; the heap entry becomes a tombstone
+  // whose slot is reclaimed when it surfaces.
   s.fn = Callback();
   s.id = 0;
   --live_count_;
@@ -83,272 +66,72 @@ void EventLoop::HeapPush(const Event& e) {
   heap_[i] = e;
 }
 
-EventLoop::Event EventLoop::PopTop() {
-  const Event top = heap_.front();
+void EventLoop::PopTop() {
   const Event last = heap_.back();
   heap_.pop_back();
   const size_t n = heap_.size();
-  if (n > 0) {
-    // Sift `last` down from the root, early-exiting as soon as it is no
-    // later than every child of the current hole.
-    size_t i = 0;
-    for (;;) {
-      const size_t first = 4 * i + 1;
-      if (first >= n) break;
-      size_t best = first;
-      const size_t end = first + 4 < n ? first + 4 : n;
-      for (size_t c = first + 1; c < end; ++c) {
-        if (Earlier(heap_[c], heap_[best])) best = c;
-      }
-      if (!Earlier(heap_[best], last)) break;
-      heap_[i] = heap_[best];
-      i = best;
+  if (n == 0) return;
+  // Sift `last` down from the root, early-exiting as soon as it is no later
+  // than every child of the current hole.
+  size_t i = 0;
+  for (;;) {
+    const size_t first = 4 * i + 1;
+    if (first >= n) break;
+    size_t best = first;
+    const size_t end = first + 4 < n ? first + 4 : n;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (Earlier(heap_[c], heap_[best])) best = c;
     }
-    heap_[i] = last;
+    if (!Earlier(heap_[best], last)) break;
+    heap_[i] = heap_[best];
+    i = best;
   }
-  return top;
+  heap_[i] = last;
 }
 
-void EventLoop::BucketAppend(int64_t offset, uint32_t slot) {
-  slots_[slot].next = kNilSlot;
-  Bucket& b = wheel_[static_cast<size_t>(offset)];
-  if (b.tail == kNilSlot) {
-    b.head = slot;
-    const size_t word = static_cast<size_t>(offset >> 6);
-    occupied_[word] |= 1ull << (offset & 63);
-    if (word < scan_word_) scan_word_ = word;
-  } else {
-    slots_[b.tail].next = slot;
-  }
-  b.tail = slot;
-}
-
-void EventLoop::BucketPopHead(int64_t offset) {
-  Bucket& b = wheel_[static_cast<size_t>(offset)];
-  b.head = slots_[b.head].next;
-  if (b.head == kNilSlot) {
-    b.tail = kNilSlot;
-    occupied_[static_cast<size_t>(offset >> 6)] &= ~(1ull << (offset & 63));
-  }
-}
-
-void EventLoop::L1Append(int64_t bucket, uint32_t slot) {
-  slots_[slot].next = kNilSlot;
-  Bucket& b = l1_wheel_[static_cast<size_t>(bucket)];
-  if (b.tail == kNilSlot) {
-    b.head = slot;
-    const size_t word = static_cast<size_t>(bucket >> 6);
-    l1_occupied_[word] |= 1ull << (bucket & 63);
-    if (word < l1_scan_word_) l1_scan_word_ = word;
-  } else {
-    slots_[b.tail].next = slot;
-  }
-  b.tail = slot;
-}
-
-int EventLoop::FindFirstOccupied() const {
-  for (size_t w = scan_word_; w < kWheelWords; ++w) {
-    if (occupied_[w] != 0) {
-      scan_word_ = w;
-      return static_cast<int>(w * 64) + std::countr_zero(occupied_[w]);
-    }
-  }
-  scan_word_ = kWheelWords;
-  return -1;
-}
-
-int EventLoop::FindFirstOccupiedL1() const {
-  for (size_t w = l1_scan_word_; w < kL1Words; ++w) {
-    if (l1_occupied_[w] != 0) {
-      l1_scan_word_ = w;
-      return static_cast<int>(w * 64) + std::countr_zero(l1_occupied_[w]);
-    }
-  }
-  l1_scan_word_ = kL1Words;
-  return -1;
-}
-
-void EventLoop::MigrateL1Bucket(int64_t bucket) {
-  Bucket& b = l1_wheel_[static_cast<size_t>(bucket)];
-  uint32_t slot = b.head;
-  b.head = kNilSlot;
-  b.tail = kNilSlot;
-  l1_occupied_[static_cast<size_t>(bucket >> 6)] &= ~(1ull << (bucket & 63));
-  while (slot != kNilSlot) {
-    const uint32_t next = slots_[slot].next;
-    if (slots_[slot].id == 0) {
-      free_slots_.push_back(slot);  // cancelled while parked in L1
-    } else {
-      BucketAppend(slots_[slot].at.us() & (kWheelSpanUs - 1), slot);
-    }
-    slot = next;
-  }
-}
-
-void EventLoop::AdvanceL1(Timestamp horizon) {
-  l1_base_us_ = horizon.us() & ~(kL1SpanUs - 1);
-  while (!heap_.empty() && heap_.front().at.us() - l1_base_us_ < kL1SpanUs) {
-    const Event e = PopTop();
-    const uint32_t slot = static_cast<uint32_t>(e.id & kSlotMask);
-    if (slots_[slot].id != e.id) {
-      free_slots_.push_back(slot);  // cancelled while in overflow
-      continue;
-    }
-    L1Append((e.at.us() >> kWheelShift) & (kL1Buckets - 1), slot);
+void EventLoop::DropDeadTop() {
+  while (!heap_.empty()) {
+    const uint64_t id = heap_.front().id;
+    const uint32_t slot = static_cast<uint32_t>(id & kSlotMask);
+    if (slots_[slot].id == id) return;
+    PopTop();  // cancelled tombstone
+    free_slots_.push_back(slot);
   }
 }
 
 Timestamp EventLoop::NextEventTime() {
-  for (;;) {
-    const int offset = FindFirstOccupied();
-    if (offset >= 0) {
-      const uint32_t slot = wheel_[static_cast<size_t>(offset)].head;
-      if (slots_[slot].id == 0) {
-        BucketPopHead(offset);  // cancelled tombstone
-        free_slots_.push_back(slot);
-        continue;
-      }
-      return Timestamp::Micros(wheel_base_us_ + offset);
-    }
-    const int bucket = FindFirstOccupiedL1();
-    if (bucket >= 0) {
-      // An L1 bucket index only resolves time to kWheelSpanUs; walk the (short)
-      // FIFO list for the exact minimum, reclaiming head tombstones.
-      Bucket& b = l1_wheel_[static_cast<size_t>(bucket)];
-      while (b.head != kNilSlot && slots_[b.head].id == 0) {
-        const uint32_t dead = b.head;
-        b.head = slots_[dead].next;
-        free_slots_.push_back(dead);
-      }
-      if (b.head == kNilSlot) {
-        b.tail = kNilSlot;
-        l1_occupied_[static_cast<size_t>(bucket >> 6)] &=
-            ~(1ull << (bucket & 63));
-        continue;
-      }
-      Timestamp min = Timestamp::PlusInfinity();
-      for (uint32_t s = b.head; s != kNilSlot; s = slots_[s].next) {
-        if (slots_[s].id != 0 && slots_[s].at < min) min = slots_[s].at;
-      }
-      return min;
-    }
-    if (heap_.empty()) return Timestamp::PlusInfinity();
-    const Event& top = heap_.front();
-    const uint32_t tslot = static_cast<uint32_t>(top.id & kSlotMask);
-    if (slots_[tslot].id != top.id) {
-      PopTop();  // cancelled tombstone
-      free_slots_.push_back(tslot);
-      continue;
-    }
-    return top.at;
-  }
-}
-
-bool EventLoop::HasEventAtOrBefore(Timestamp t) {
-  for (;;) {
-    const int offset = FindFirstOccupied();
-    if (offset >= 0) {
-      const uint32_t slot = wheel_[static_cast<size_t>(offset)].head;
-      if (slots_[slot].id == 0) {
-        BucketPopHead(offset);  // cancelled tombstone
-        free_slots_.push_back(slot);
-        continue;
-      }
-      return Timestamp::Micros(wheel_base_us_ + offset) <= t;
-    }
-    const int bucket = FindFirstOccupiedL1();
-    if (bucket >= 0) {
-      // Conservative: test the bucket's start, not its exact minimum, so the
-      // hot path never walks a list. A refusal is always safe (the caller
-      // falls back to scheduling a real event) and the answer depends only
-      // on simulation state, so it is deterministic.
-      return Timestamp::Micros(l1_base_us_ + bucket * kWheelSpanUs) <= t;
-    }
-    if (heap_.empty()) return false;
-    const Event& top = heap_.front();
-    const uint32_t tslot = static_cast<uint32_t>(top.id & kSlotMask);
-    if (slots_[tslot].id != top.id) {
-      PopTop();  // cancelled tombstone
-      free_slots_.push_back(tslot);
-      continue;
-    }
-    return top.at <= t;
-  }
-}
-
-bool EventLoop::TryAdvanceTo(Timestamp t) {
-  assert(t >= now_);
-  if (!coalescing_ || t > run_bound_) return false;
-  if (HasEventAtOrBefore(t)) return false;
-  now_ = t;
-  ++events_executed_;
-  return true;
+  DropDeadTop();
+  return heap_.empty() ? Timestamp::PlusInfinity() : heap_.front().at;
 }
 
 bool EventLoop::PopAndRunNext(Timestamp until) {
-  for (;;) {
-    const int offset = FindFirstOccupied();
-    if (offset < 0) {
-      // L0 window exhausted: refill it from the first occupied L1 bucket
-      // (whose span exactly matches the L0 window), else advance the
-      // L1 horizon to the earliest overflow-heap event and retry.
-      const int bucket = FindFirstOccupiedL1();
-      if (bucket >= 0) {
-        const int64_t block_start = l1_base_us_ + bucket * kWheelSpanUs;
-        if (Timestamp::Micros(block_start) > until) return false;
-        wheel_base_us_ = block_start;
-        MigrateL1Bucket(bucket);
-        continue;
-      }
-      if (heap_.empty()) return false;
-      const Event& top = heap_.front();
-      const uint32_t tslot = static_cast<uint32_t>(top.id & kSlotMask);
-      if (slots_[tslot].id != top.id) {
-        PopTop();  // cancelled tombstone
-        free_slots_.push_back(tslot);
-        continue;
-      }
-      if (top.at > until) return false;
-      AdvanceL1(top.at);
-      continue;
-    }
-    const uint32_t slot = wheel_[static_cast<size_t>(offset)].head;
-    Slot& s = slots_[slot];
-    if (s.id == 0) {
-      BucketPopHead(offset);  // cancelled tombstone
-      free_slots_.push_back(slot);
-      continue;
-    }
-    const Timestamp at = Timestamp::Micros(wheel_base_us_ + offset);
-    if (at > until) return false;
-    BucketPopHead(offset);
-    // Move the callback out before releasing: it may re-schedule (growing
-    // slots_) or cancel, and must be able to reuse this slot.
-    Callback fn = std::move(s.fn);
-    s.id = 0;
-    free_slots_.push_back(slot);
-    --live_count_;
-    now_ = at;
-    ++events_executed_;
-    ++events_dispatched_;
-    fn();
-    return true;
-  }
+  DropDeadTop();
+  if (heap_.empty()) return false;
+  const Event top = heap_.front();
+  if (top.at > until) return false;
+  PopTop();
+  const uint32_t slot = static_cast<uint32_t>(top.id & kSlotMask);
+  // Move the callback out before releasing: it may re-schedule (growing
+  // slots_) or cancel, and must be able to reuse this slot.
+  Callback fn = std::move(slots_[slot].fn);
+  slots_[slot].id = 0;
+  free_slots_.push_back(slot);
+  --live_count_;
+  now_ = top.at;
+  ++events_executed_;
+  fn();
+  return true;
 }
 
 void EventLoop::RunUntil(Timestamp until) {
-  const Timestamp prev_bound = run_bound_;
-  run_bound_ = until;
   while (PopAndRunNext(until)) {
     if (pause_requested_) {
       // Return without the trailing now_ advance: time must stay at the
       // paused event so the resuming RunUntil continues the exact sequence.
       pause_requested_ = false;
-      run_bound_ = prev_bound;
       return;
     }
   }
-  run_bound_ = prev_bound;
   if (until > now_ && until.IsFinite()) now_ = until;
 }
 

@@ -82,41 +82,7 @@ void Pacer::MaybeSend() {
 
 void Pacer::OnTimer() {
   timer_armed_ = false;
-  // With an active trace the per-wake queue-depth counter must keep its
-  // per-packet cadence, so time stepping is disabled (like the staging
-  // rendezvous's inline fallback) — results are unchanged either way.
-  const bool may_step = obs::CurrentTrace() == nullptr;
-  for (;;) {
-    const Timestamp now = loop_.now();
-    // The credit clamp is a no-op on a timer wake (the timer fires exactly
-    // at next_send_time_), but stays for parity with MaybeSend.
-    if (next_send_time_ < now - burst_) next_send_time_ = now - burst_;
-
-    while (!queue_.empty() && next_send_time_ <= now) {
-      net::Packet p = std::move(queue_.front());
-      queue_.pop_front();
-      queued_ -= p.size;
-      p.send_time = now;
-      next_send_time_ += p.size / rate_;
-      ++packets_sent_;
-      send_(std::move(p));
-    }
-
-    RAVE_TRACE_COUNTER(kPacerQueueMs, now, ExpectedQueueTime().ms_float());
-
-    if (queue_.empty()) return;
-    // Packet-train fast path: if nothing else in the simulation can run
-    // before the next send, step straight to it instead of paying for a
-    // fresh timer event. Refused (RAVE_NO_COALESCE, a pending event at or
-    // before next_send_time_, tracing, or the run bound), this arms the
-    // identical continuation a per-packet pacer would.
-    if (!may_step || !loop_.TryAdvanceTo(next_send_time_)) {
-      timer_armed_ = true;
-      armed_for_ = next_send_time_;
-      pending_ = loop_.ScheduleAt(next_send_time_, [this] { OnTimer(); });
-      return;
-    }
-  }
+  MaybeSend();
 }
 
 }  // namespace rave::transport

@@ -56,14 +56,12 @@ class Pacer {
   int64_t packets_sent() const { return packets_sent_; }
 
  private:
-  /// Synchronous re-evaluation after an enqueue or rate change: sends
-  /// whatever is already due at now() and (re-)arms the drain timer. Never
-  /// steps time — the caller's event is still executing.
+  /// Sends whatever is already due at now() and (re-)arms the drain timer
+  /// for the next send; runs after an enqueue, a rate change, or a timer
+  /// wake.
   void MaybeSend();
-  /// Drain-timer callback: sends everything due, then either steps
-  /// simulation time to the next send (EventLoop::TryAdvanceTo — the
-  /// packet-train fast path) or re-arms for it. With coalescing refused the
-  /// arm/fire sequence is exactly the per-packet scheduler's.
+  /// Drain-timer callback: the armed timer has fired, so MaybeSend arms a
+  /// fresh one if packets remain.
   void OnTimer();
 
   EventLoop& loop_;

@@ -6,12 +6,7 @@
 #     regression the numeric floor could otherwise mask), or
 #   - session_batch_speedup falls below FLOOR, or
 #   - serial_sessions_per_s falls below SERIAL_FLOOR (absolute sessions/sec,
-#     a catastrophic tripwire only — the host swings ~1.5x run to run), or
-#   - train_amortization falls below AMORT_FLOOR. This one is noise-free:
-#     it is logical events / dispatched events, a pure count ratio fixed by
-#     the deterministic simulation (1.0298 for the committed matrix), and it
-#     reads exactly 1.0 the moment the event-coalescing fast path stops
-#     granting time steps — no wall clock involved.
+#     a catastrophic tripwire only — the host swings ~1.5x run to run).
 #
 # The floor is a catastrophic-regression tripwire, not a precision bound:
 # single-run wall-clock ratios on shared/virtualized CI hosts swing from
@@ -32,9 +27,6 @@ if(NOT DEFINED FLOOR)
 endif()
 if(NOT DEFINED SERIAL_FLOOR)
   set(SERIAL_FLOOR 0)
-endif()
-if(NOT DEFINED AMORT_FLOOR)
-  set(AMORT_FLOOR 0)
 endif()
 if(NOT DEFINED ATTEMPTS)
   set(ATTEMPTS 3)
@@ -62,16 +54,6 @@ foreach(attempt RANGE 1 ${ATTEMPTS})
   string(JSON control_speedup GET ${json} control_batch_speedup)
   string(JSON control_identical GET ${json} control_batch_identical)
   string(JSON serial_sps GET ${json} serial_sessions_per_s)
-  string(JSON amortization GET ${json} train_amortization)
-
-  # The amortization ratio is deterministic, so like the identity flags a
-  # single miss is a real regression, not noise.
-  if(amortization LESS AMORT_FLOOR)
-    message(FATAL_ERROR
-            "train_amortization=${amortization} fell below ${AMORT_FLOOR}: "
-            "the event-coalescing fast path stopped granting time steps "
-            "(it reads exactly 1.0 when coalescing is lost)")
-  endif()
 
   # Bit-identity is noise-free: any single failure is a real regression.
   if(NOT session_identical STREQUAL "ON")
@@ -110,7 +92,7 @@ if(best_serial LESS SERIAL_FLOOR)
   message(FATAL_ERROR
           "best serial_sessions_per_s over ${ATTEMPTS} runs = ${best_serial} "
           "fell below the committed floor ${SERIAL_FLOOR}; the serial "
-          "session fast path (event coalescing / timing wheel) regressed "
+          "session fast path regressed "
           "catastrophically")
 endif()
 message(STATUS

@@ -9,9 +9,6 @@
 #         -P bench_variants_determinism.cmake
 #
 # Variants are separated by "|"; arguments within one variant by spaces.
-# A variant token of the form NAME=value (no leading "--") is an environment
-# variable for that run instead of a binary argument — e.g. the variant
-# "RAVE_NO_COALESCE=1 --jobs=8" runs with event coalescing force-disabled.
 # With CACHE_DIR set, the directory is removed first and every variant runs
 # with --cache-dir=<dir>: the first run is a cold cache pass and the rest
 # are warm, so the compare also gates cold-vs-warm byte-identity.
@@ -28,19 +25,9 @@ endif()
 string(REPLACE "|" ";" variant_list "${VARIANTS}")
 set(index 0)
 foreach(variant IN LISTS variant_list)
-  separate_arguments(variant_tokens UNIX_COMMAND "${variant}")
-  set(env_args "")
-  set(variant_args "")
-  foreach(token IN LISTS variant_tokens)
-    if(token MATCHES "^[A-Za-z_][A-Za-z0-9_]*=")
-      list(APPEND env_args "${token}")
-    else()
-      list(APPEND variant_args "${token}")
-    endif()
-  endforeach()
+  separate_arguments(variant_args UNIX_COMMAND "${variant}")
   execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env ${env_args}
-            ${BINARY} ${variant_args} ${EXTRA_ARGS}
+    COMMAND ${BINARY} ${variant_args} ${EXTRA_ARGS}
     OUTPUT_FILE ${OUT}_${index}.txt
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)

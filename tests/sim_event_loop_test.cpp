@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <functional>
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <limits>
+#include <map>
 #include <memory>
+#include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -327,33 +333,29 @@ TEST(EventLoopSlotTableTest, CallbackResourcesReleasedOnCancel) {
   EXPECT_TRUE(watch.expired());
 }
 
-// --- two-level wheel horizons ---
+// --- ordering across horizons ---
 //
-// Delays are chosen to land one event in each storage tier: the L0 per-µs
-// window (< ~4 ms), the L1 outer wheel (< ~16.8 s), and the overflow heap
-// (beyond). The tiers are an implementation detail; these tests pin the
-// observable contract — exact peek times and strict (fire time, seq) order —
-// across every tier boundary.
+// Delays span sub-ms, seconds, and beyond 16.8 s (2^24 µs). These tests pin
+// the observable contract — exact peek times and strict (fire time, seq)
+// order — at every horizon.
 
-TEST(EventLoopWheelTest, OrderPreservedAcrossAllHorizons) {
+TEST(EventLoopOrderTest, OrderPreservedAcrossAllHorizons) {
   EventLoop loop;
   std::vector<int> order;
-  loop.Schedule(TimeDelta::Seconds(20), [&] { order.push_back(5); });   // heap
-  loop.Schedule(TimeDelta::Micros(100), [&] { order.push_back(1); });  // L0
-  loop.Schedule(TimeDelta::Seconds(1), [&] { order.push_back(3); });   // L1
-  loop.Schedule(TimeDelta::Millis(5), [&] { order.push_back(2); });    // L1
-  loop.Schedule(TimeDelta::Seconds(2), [&] { order.push_back(4); });   // L1
+  loop.Schedule(TimeDelta::Seconds(20), [&] { order.push_back(5); });
+  loop.Schedule(TimeDelta::Micros(100), [&] { order.push_back(1); });
+  loop.Schedule(TimeDelta::Seconds(1), [&] { order.push_back(3); });
+  loop.Schedule(TimeDelta::Millis(5), [&] { order.push_back(2); });
+  loop.Schedule(TimeDelta::Seconds(2), [&] { order.push_back(4); });
   loop.RunAll();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
   EXPECT_EQ(loop.now(), Timestamp::Seconds(20));
 }
 
-TEST(EventLoopWheelTest, SameTimeTiesRunInScheduleOrderAcrossTiers) {
+TEST(EventLoopOrderTest, SameTimeTiesRunInScheduleOrderFarOut) {
   EventLoop loop;
   std::vector<int> order;
-  // All fire at the same instant, far enough out to start life in the heap,
-  // then migrate heap -> L1 -> L0 before dispatch. The migrations must keep
-  // scheduling order.
+  // All fire at the same instant, far out: scheduling order breaks the tie.
   for (int i = 0; i < 8; ++i) {
     loop.Schedule(TimeDelta::Seconds(18), [&order, i] { order.push_back(i); });
   }
@@ -361,108 +363,214 @@ TEST(EventLoopWheelTest, SameTimeTiesRunInScheduleOrderAcrossTiers) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
-TEST(EventLoopWheelTest, NextEventTimeIsExactInEveryTier) {
+TEST(EventLoopOrderTest, NextEventTimeIsExactAtEveryHorizon) {
   EventLoop loop;
   EXPECT_EQ(loop.NextEventTime(), Timestamp::PlusInfinity());
 
   loop.Schedule(TimeDelta::Seconds(19) + TimeDelta::Micros(7), [] {});
   EXPECT_EQ(loop.NextEventTime(),
-            Timestamp::Seconds(19) + TimeDelta::Micros(7));  // heap
+            Timestamp::Seconds(19) + TimeDelta::Micros(7));
 
   loop.Schedule(TimeDelta::Millis(900) + TimeDelta::Micros(3), [] {});
   EXPECT_EQ(loop.NextEventTime(),
-            Timestamp::Millis(900) + TimeDelta::Micros(3));  // L1, exact µs
+            Timestamp::Millis(900) + TimeDelta::Micros(3));
 
   loop.Schedule(TimeDelta::Micros(250), [] {});
-  EXPECT_EQ(loop.NextEventTime(), Timestamp::Micros(250));  // L0
+  EXPECT_EQ(loop.NextEventTime(), Timestamp::Micros(250));
   loop.RunAll();
   EXPECT_EQ(loop.NextEventTime(), Timestamp::PlusInfinity());
 }
 
-TEST(EventLoopWheelTest, CancelledEventsNeverFireFromL1OrHeap) {
+TEST(EventLoopOrderTest, CancelledEventsNeverFireAtAnyHorizon) {
   EventLoop loop;
   int fired = 0;
-  EventHandle in_l1 = loop.Schedule(TimeDelta::Millis(500), [&] { ++fired; });
-  EventHandle in_heap = loop.Schedule(TimeDelta::Seconds(19), [&] { ++fired; });
+  EventHandle near = loop.Schedule(TimeDelta::Millis(500), [&] { ++fired; });
+  EventHandle far = loop.Schedule(TimeDelta::Seconds(19), [&] { ++fired; });
   loop.Schedule(TimeDelta::Seconds(19), [&] { ++fired; });  // survivor
-  loop.Cancel(in_l1);
-  loop.Cancel(in_heap);
+  loop.Cancel(near);
+  loop.Cancel(far);
   EXPECT_EQ(loop.pending(), 1u);
   loop.RunAll();
   EXPECT_EQ(fired, 1);
 }
 
-// --- TryAdvanceTo gating ---
+// --- reference model ---
+//
+// A seeded random mix of Schedule/ScheduleAt, Cancel (from outside and from
+// inside callbacks, including stale handles), re-entrant scheduling and
+// RunUntil bounds, checked event by event against a std::set ordered by
+// (fire time, scheduling order). Delays run from 0 µs to 30 s, with many
+// equal-µs ties and times around 4096 µs and 2^24 µs (≈16.8 s), the block
+// and horizon sizes of earlier timing-wheel designs.
 
-TEST(EventLoopCoalesceTest, StepGrantedOnlyWhenStrictlyBeforeEveryEvent) {
-  EventLoop loop;
-  ASSERT_TRUE(loop.coalescing());  // default on (RAVE_NO_COALESCE unset)
-  bool granted_past_pending = true;
-  bool granted_free_gap = false;
-  loop.Schedule(TimeDelta::Millis(12), [] {});
-  loop.Schedule(TimeDelta::Millis(10), [&] {
-    // An event pends at 12 ms <= 15 ms: the step must be refused.
-    granted_past_pending = loop.TryAdvanceTo(Timestamp::Millis(15));
-    // 11 ms is strictly before every pending event: granted, time moves.
-    granted_free_gap = loop.TryAdvanceTo(Timestamp::Millis(11));
-  });
-  loop.RunAll();
-  EXPECT_FALSE(granted_past_pending);
-  EXPECT_TRUE(granted_free_gap);
-}
+class ModelRunner {
+ public:
+  explicit ModelRunner(uint64_t seed) : rng_(seed) {}
 
-TEST(EventLoopCoalesceTest, StepRefusedBeyondRunBoundAndWhenDisabled) {
-  EventLoop loop;
-  bool past_bound = true;
-  bool within_bound = false;
-  loop.Schedule(TimeDelta::Millis(5), [&] {
-    past_bound = loop.TryAdvanceTo(Timestamp::Millis(25));   // bound is 20 ms
-    within_bound = loop.TryAdvanceTo(Timestamp::Millis(18));
-  });
-  loop.RunUntil(Timestamp::Millis(20));
-  EXPECT_FALSE(past_bound);
-  EXPECT_TRUE(within_bound);
+  void Run(int rounds) {
+    for (int round = 0; round < rounds; ++round) {
+      const int schedules = Uniform(0, 24);
+      for (int i = 0; i < schedules; ++i) ScheduleRandom();
+      if (Uniform(0, 3) == 0) CancelRandom();
+      if (Uniform(0, 7) == 0) CancelStale();
+      RunTo(loop_.now() + RandomDelay());
+      if (::testing::Test::HasFailure()) return;
+    }
+    // Drain: callbacks stop scheduling, so the run ends.
+    draining_ = true;
+    RunTo(Timestamp::PlusInfinity());
+    EXPECT_TRUE(model_.empty());
+    EXPECT_EQ(loop_.pending(), 0u);
+  }
 
-  EventLoop off;
-  off.set_coalescing(false);
-  bool granted = true;
-  off.Schedule(TimeDelta::Millis(5),
-               [&] { granted = off.TryAdvanceTo(Timestamp::Millis(8)); });
-  off.RunAll();
-  EXPECT_FALSE(granted);
-}
+  uint64_t fired() const { return fired_; }
 
-TEST(EventLoopCoalesceTest, LogicalEventCountInvariantAcrossModes) {
-  // A self-rescheduling worker that prefers stepping: with coalescing it
-  // advances through its cadence inside one dispatch; without, every tick is
-  // its own event. events_executed must come out identical.
-  auto run = [](bool coalesce) {
-    EventLoop loop;
-    loop.set_coalescing(coalesce);
-    int ticks = 0;
-    std::function<void()> tick = [&] {
-      ++ticks;
-      while (ticks < 50) {
-        const Timestamp next = loop.now() + TimeDelta::Micros(700);
-        if (loop.TryAdvanceTo(next)) {
-          ++ticks;
-        } else {
-          loop.ScheduleAt(next, [&] { tick(); });
-          return;
-        }
+ private:
+  using Key = std::pair<int64_t, uint64_t>;  // (fire time µs, schedule seq)
+
+  int Uniform(int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng_);
+  }
+
+  TimeDelta RandomDelay() {
+    constexpr int64_t kBlockUs = int64_t{1} << 12;
+    constexpr int64_t kHorizonUs = int64_t{1} << 24;
+    switch (Uniform(0, 9)) {
+      case 0:
+        return TimeDelta::Zero();
+      case 1:
+      case 2:
+        return TimeDelta::Micros(Uniform(0, 8));
+      case 3:  // around one or a few 4096 µs blocks
+        return TimeDelta::Micros(kBlockUs * Uniform(1, 3) + Uniform(-3, 3));
+      case 4:  // around the ≈16.8 s horizon
+        return TimeDelta::Micros(kHorizonUs + Uniform(-3, 3));
+      case 5:  // 0..30 s
+        return TimeDelta::Micros(
+            std::uniform_int_distribution<int64_t>(0, 30'000'000)(rng_));
+      default:  // packet and frame cadences
+        return TimeDelta::Micros(Uniform(0, 40'000));
+    }
+  }
+
+  // Absolute times: a shared grid (many equal-µs ties), block and horizon
+  // boundaries, and times in the past (clamped to now()).
+  Timestamp RandomTime() {
+    const int64_t now = loop_.now().us();
+    switch (Uniform(0, 3)) {
+      case 0:
+        return Timestamp::Micros(now - Uniform(0, 1000));
+      case 1: {
+        const int64_t grid = 1000;
+        return Timestamp::Micros((now / grid + Uniform(0, 4)) * grid);
       }
-    };
-    loop.Schedule(TimeDelta::Micros(700), [&] { tick(); });
-    // A cross-cutting periodic event forces refusals mid-train.
-    RepeatingTask other(loop, TimeDelta::Millis(3), [] {});
-    other.Start();
-    loop.RunUntil(Timestamp::Millis(60));
-    return std::pair<int, uint64_t>(ticks, loop.events_executed());
+      case 2: {
+        const int64_t block = int64_t{1} << 12;
+        return Timestamp::Micros((now / block + Uniform(1, 2)) * block +
+                                 Uniform(-2, 2));
+      }
+      default: {
+        const int64_t horizon = int64_t{1} << 24;
+        return Timestamp::Micros((now / horizon + 1) * horizon +
+                                 Uniform(-2, 2));
+      }
+    }
+  }
+
+  void ScheduleRandom() {
+    if (model_.size() >= 300) return;
+    const uint64_t seq = next_seq_++;
+    auto fn = [this, seq] { OnFire(seq); };
+    EventHandle handle;
+    Timestamp at;
+    if (Uniform(0, 2) == 0) {
+      at = std::max(RandomTime(), loop_.now());
+      handle = loop_.ScheduleAt(at, fn);
+    } else {
+      const TimeDelta delay = RandomDelay();
+      at = loop_.now() + delay;
+      handle = loop_.Schedule(delay, fn);
+    }
+    model_.insert({at.us(), seq});
+    live_[seq] = {handle, at.us()};
+  }
+
+  void CancelRandom() {
+    if (live_.empty()) return;
+    auto it = live_.begin();
+    std::advance(it, Uniform(0, static_cast<int>(live_.size()) - 1));
+    loop_.Cancel(it->second.handle);
+    model_.erase({it->second.at_us, it->first});
+    stale_.push_back(it->second.handle);
+    live_.erase(it);
+  }
+
+  void CancelStale() {
+    if (stale_.empty()) return;
+    loop_.Cancel(stale_[static_cast<size_t>(
+        Uniform(0, static_cast<int>(stale_.size()) - 1))]);
+  }
+
+  void OnFire(uint64_t seq) {
+    ++fired_;
+    ASSERT_FALSE(model_.empty()) << "event " << seq << " fired unscheduled";
+    const Key expected = *model_.begin();
+    ASSERT_EQ(seq, expected.second) << "out of order at " << expected.first;
+    ASSERT_EQ(loop_.now(), Timestamp::Micros(expected.first));
+    ASSERT_LE(expected.first, bound_us_);
+    model_.erase(model_.begin());
+    stale_.push_back(live_[seq].handle);
+    live_.erase(seq);
+    // Re-entrant work: schedule (zero delays land at now(), behind every
+    // event already pending at now()) and cancel, possibly a same-time
+    // event that would otherwise fire next.
+    const int schedules = draining_ ? 0 : std::max(0, Uniform(-2, 2));
+    for (int i = 0; i < schedules; ++i) ScheduleRandom();
+    if (Uniform(0, 4) == 0) CancelRandom();
+    if (Uniform(0, 9) == 0) CancelStale();
+  }
+
+  void RunTo(Timestamp until) {
+    const Timestamp before = loop_.now();
+    bound_us_ = until.IsFinite() ? until.us()
+                                 : std::numeric_limits<int64_t>::max();
+    loop_.RunUntil(until);
+    // Everything up to the bound ran; the clock sits on the bound.
+    if (!model_.empty()) {
+      EXPECT_GT(model_.begin()->first, bound_us_);
+      EXPECT_EQ(loop_.NextEventTime(), Timestamp::Micros(model_.begin()->first));
+    } else {
+      EXPECT_EQ(loop_.NextEventTime(), Timestamp::PlusInfinity());
+    }
+    if (until.IsFinite()) {
+      EXPECT_EQ(loop_.now(), std::max(until, before));
+    }
+    EXPECT_EQ(loop_.pending(), model_.size());
+  }
+
+  struct Live {
+    EventHandle handle;
+    int64_t at_us;
   };
-  const auto with = run(true);
-  const auto without = run(false);
-  EXPECT_EQ(with.first, without.first);
-  EXPECT_EQ(with.second, without.second);
+
+  std::mt19937_64 rng_;
+  EventLoop loop_;
+  std::set<Key> model_;
+  std::map<uint64_t, Live> live_;
+  std::vector<EventHandle> stale_;
+  uint64_t next_seq_ = 1;
+  uint64_t fired_ = 0;
+  int64_t bound_us_ = 0;
+  bool draining_ = false;
+};
+
+TEST(EventLoopModelTest, MatchesOrderedSetModel) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(seed);
+    ModelRunner runner(seed);
+    runner.Run(3000);
+    EXPECT_GT(runner.fired(), 10000u);
+  }
 }
 
 }  // namespace
