@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "simd/vmath.h"
+#include "util/fastmath.h"
 
 namespace rave::cc {
 
@@ -136,8 +136,8 @@ DataRate AimdRateControl::Update(BandwidthUsage usage, DataRate acked,
       if (near_capacity) {
         current_ = current_ + AdditiveIncrease(rtt, since_last);
       } else {
-        const double factor = simd::PowS(config_.increase_factor_per_second,
-                                         since_last.seconds());
+        const double factor = fastmath::Pow(
+            config_.increase_factor_per_second, since_last.seconds());
         current_ = current_ * factor;
       }
       // Do not run far beyond what the network demonstrably delivers.

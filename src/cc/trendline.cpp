@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "simd/kernels.h"
+#include "util/fastmath.h"
 
 namespace rave::cc {
 
@@ -49,8 +49,8 @@ BandwidthUsage TrendlineEstimator::OnDelta(const InterArrivalDelta& delta) {
 }
 
 double TrendlineEstimator::LinearFitSlope() const {
-  // Linearize oldest -> newest and delegate to the shared regression kernel
-  // (the batched stepper runs the same kernel across lanes, bit-identically).
+  // Linearize oldest -> newest and delegate to the deterministic regression
+  // kernel.
   double xs[kMaxWindow];
   double ys[kMaxWindow];
   const size_t cap = config_.window_size;
@@ -60,7 +60,7 @@ double TrendlineEstimator::LinearFitSlope() const {
     xs[i] = hist_x_[j];
     ys[i] = hist_y_[j];
   }
-  return simd::FitSlope(xs, ys, hist_size_);
+  return fastmath::FitSlope(xs, ys, hist_size_);
 }
 
 void TrendlineEstimator::UpdateThreshold(double modified_trend,

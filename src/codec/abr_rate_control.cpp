@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "obs/trace.h"
-#include "simd/vmath.h"
+#include "util/fastmath.h"
 
 namespace rave::codec {
 
@@ -18,7 +18,7 @@ AbrRateControl::AbrRateControl(const AbrConfig& config)
       pred_key_(/*gamma=*/0.9, /*initial_coef=*/1.0),
       pred_delta_(/*gamma=*/1.2, /*initial_coef=*/1.0),
       window_decay_(1.0 - 1.0 / (config.window_seconds * config.fps)),
-      lstep_(simd::Exp2S(config.qp_step / 6.0)) {
+      lstep_(fastmath::Exp2(config.qp_step / 6.0)) {
   assert(config.fps > 0);
 }
 
@@ -38,7 +38,7 @@ double AbrRateControl::ComplexityTerm(const video::RawFrame& frame,
 }
 
 double AbrRateControl::Rceq(double complexity_term) const {
-  return simd::PowS(std::max(complexity_term, 1.0), 1.0 - config_.qcomp);
+  return fastmath::Pow(std::max(complexity_term, 1.0), 1.0 - config_.qcomp);
 }
 
 FrameGuidance AbrRateControl::PlanFrame(const video::RawFrame& frame,
@@ -138,12 +138,6 @@ void AbrRateControl::OnFrameEncoded(const FrameOutcome& outcome,
   vbv_.AddFrame(outcome.size);
   RAVE_TRACE_COUNTER(kVbvFill, now, vbv_.fullness());
   last_qscale_ = outcome.qscale;
-}
-
-bool BatchCompatible(const AbrConfig& a, const AbrConfig& b) {
-  return a.fps == b.fps && a.qcomp == b.qcomp &&
-         a.rate_tolerance == b.rate_tolerance && a.qp_step == b.qp_step &&
-         a.ip_factor == b.ip_factor && a.window_seconds == b.window_seconds;
 }
 
 }  // namespace rave::codec

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "obs/trace.h"
-#include "simd/vmath.h"
+#include "util/fastmath.h"
 
 namespace rave::codec {
 
@@ -15,7 +15,7 @@ CbrRateControl::CbrRateControl(const CbrConfig& config)
       vbv_(config.initial_target, config.vbv_window),
       pred_key_(/*gamma=*/0.9),
       pred_delta_(/*gamma=*/1.2),
-      lstep_(simd::Exp2S(config.qp_step / 6.0)) {
+      lstep_(fastmath::Exp2(config.qp_step / 6.0)) {
   assert(config.fps > 0);
 }
 

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 
-#include "simd/vmath.h"
+#include "util/fastmath.h"
 
 namespace rave::codec {
 
@@ -12,7 +12,7 @@ CrfRateControl::CrfRateControl(const CrfConfig& config)
     : config_(config),
       pred_key_(/*gamma=*/0.9),
       pred_delta_(/*gamma=*/1.2),
-      lstep_(simd::Exp2S(config.qp_step / 6.0)) {
+      lstep_(fastmath::Exp2(config.qp_step / 6.0)) {
   assert(config_.fps > 0);
   if (config_.cap_rate) {
     vbv_.emplace(*config_.cap_rate, config_.vbv_window);
@@ -20,7 +20,7 @@ CrfRateControl::CrfRateControl(const CrfConfig& config)
   // x264: rate_factor chosen so a frame of "typical" complexity encodes at
   // qscale(crf). We anchor to 720p at the model's reference complexity.
   const double reference_cplx = 1280.0 * 720.0 * 0.5;
-  rate_factor_ = simd::PowS(reference_cplx, 1.0 - config_.qcomp) /
+  rate_factor_ = fastmath::Pow(reference_cplx, 1.0 - config_.qcomp) /
                  QpToQscale(config_.crf);
 }
 
@@ -43,7 +43,8 @@ FrameGuidance CrfRateControl::PlanFrame(const video::RawFrame& frame,
                          (short_term_cplx_count_ * 0.5 + 1.0);
 
   double qscale =
-      simd::PowS(std::max(blurred, 1.0), 1.0 - config_.qcomp) / rate_factor_;
+      fastmath::Pow(std::max(blurred, 1.0), 1.0 - config_.qcomp) /
+      rate_factor_;
   if (type == FrameType::kKey) qscale /= config_.ip_factor;
 
   if (last_qscale_ > 0.0 && type == FrameType::kDelta) {

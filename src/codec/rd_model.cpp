@@ -4,21 +4,19 @@
 #include <cassert>
 #include <cmath>
 
-#include "simd/vmath.h"
+#include "util/fastmath.h"
 
 namespace rave::codec {
 
-// All transcendentals below go through rave::simd's scalar kernels rather
-// than libm: the batched SoA stepper evaluates the same model through the
-// vector kernels, and the simd library guarantees those are bit-identical
-// per lane — so per-session and batched execution produce the same frames.
+// All transcendentals below go through util/fastmath rather than libm, so
+// every host computes the same frame sizes and quality figures bit for bit.
 
 double QpToQscale(double qp) {
-  return 0.85 * simd::Exp2S((qp - 12.0) / 6.0);
+  return 0.85 * fastmath::Exp2((qp - 12.0) / 6.0);
 }
 
 double QscaleToQp(double qscale) {
-  return 12.0 + 6.0 * simd::Log2S(qscale / 0.85);
+  return 12.0 + 6.0 * fastmath::Log2(qscale / 0.85);
 }
 
 RdModel::RdModel(const RdModelConfig& config, Rng rng)
@@ -35,12 +33,14 @@ double RdModel::RawExpected(FrameType type, const video::RawFrame& frame,
   double bits = 0.0;
   if (type == FrameType::kKey) {
     const double cplx_term = pixels * frame.spatial_complexity;
-    bits = config_.coef_i * cplx_term / simd::PowS(qscale, config_.gamma_i);
+    bits = config_.coef_i * cplx_term /
+           fastmath::Pow(qscale, config_.gamma_i);
   } else {
     // Scene-change frames coded as delta still cost near intra; the content
     // model already spikes temporal complexity, so no special case here.
     const double cplx_term = pixels * frame.temporal_complexity;
-    bits = config_.coef_p * cplx_term / simd::PowS(qscale, config_.gamma_p);
+    bits = config_.coef_p * cplx_term /
+           fastmath::Pow(qscale, config_.gamma_p);
   }
   return std::max(bits, static_cast<double>(config_.min_frame_bits));
 }
@@ -53,7 +53,8 @@ DataSize RdModel::ExpectedBits(FrameType type, const video::RawFrame& frame,
 DataSize RdModel::ActualBits(FrameType type, const video::RawFrame& frame,
                              double qscale) {
   const double expected = RawExpected(type, frame, qscale);
-  const double noise = simd::ExpS(rng_.Gaussian(0.0, config_.noise_sigma));
+  const double noise =
+      fastmath::Exp(rng_.Gaussian(0.0, config_.noise_sigma));
   const double bits =
       std::max(expected * noise, static_cast<double>(config_.min_frame_bits));
   return DataSize::Bits(static_cast<int64_t>(bits));
@@ -68,10 +69,10 @@ double RdModel::QscaleForBits(FrameType type, const video::RawFrame& frame,
   double qscale = 0.0;
   if (type == FrameType::kKey) {
     const double cplx_term = pixels * frame.spatial_complexity;
-    qscale = simd::PowS(config_.coef_i * cplx_term / bits, inv_gamma_i_);
+    qscale = fastmath::Pow(config_.coef_i * cplx_term / bits, inv_gamma_i_);
   } else {
     const double cplx_term = pixels * frame.temporal_complexity;
-    qscale = simd::PowS(config_.coef_p * cplx_term / bits, inv_gamma_p_);
+    qscale = fastmath::Pow(config_.coef_p * cplx_term / bits, inv_gamma_p_);
   }
   return std::clamp(qscale, QpToQscale(kMinQp), QpToQscale(kMaxQp));
 }
@@ -80,7 +81,7 @@ double RdModel::Ssim(const video::RawFrame& frame, double qscale) const {
   const double complexity =
       0.5 * (frame.spatial_complexity + frame.temporal_complexity);
   const double distortion = config_.ssim_d0 *
-                            simd::PowS(qscale, config_.ssim_beta) *
+                            fastmath::Pow(qscale, config_.ssim_beta) *
                             (0.5 + 0.5 * complexity);
   return std::clamp(1.0 - distortion, 0.0, 1.0);
 }
@@ -88,7 +89,7 @@ double RdModel::Ssim(const video::RawFrame& frame, double qscale) const {
 double RdModel::Psnr(const video::RawFrame& frame, double qp) const {
   const double complexity =
       0.5 * (frame.spatial_complexity + frame.temporal_complexity);
-  return 52.0 - 0.6 * qp - 2.0 * simd::Log2S(1.0 + complexity);
+  return 52.0 - 0.6 * qp - 2.0 * fastmath::Log2(1.0 + complexity);
 }
 
 BitPredictor::BitPredictor(double gamma, double initial_coef)
@@ -98,7 +99,8 @@ BitPredictor::BitPredictor(double gamma, double initial_coef)
 
 DataSize BitPredictor::Predict(double complexity_term, double qscale) const {
   assert(qscale > 0.0);
-  const double bits = coef_ * complexity_term / simd::PowS(qscale, gamma_);
+  const double bits =
+      coef_ * complexity_term / fastmath::Pow(qscale, gamma_);
   return DataSize::Bits(static_cast<int64_t>(std::max(bits, 1.0)));
 }
 
@@ -106,7 +108,7 @@ double BitPredictor::QscaleForBits(double complexity_term,
                                    DataSize target) const {
   const double bits = std::max<double>(static_cast<double>(target.bits()), 1.0);
   const double qscale =
-      simd::PowS(coef_ * complexity_term / bits, inv_gamma_);
+      fastmath::Pow(coef_ * complexity_term / bits, inv_gamma_);
   return std::clamp(qscale, QpToQscale(kMinQp), QpToQscale(kMaxQp));
 }
 
@@ -116,7 +118,7 @@ void BitPredictor::Update(double complexity_term, double qscale,
   // Damped least squares on the single coefficient, as in x264's
   // update_predictor: new observations get weight 1, history decays.
   const double observed_coef = static_cast<double>(bits.bits()) *
-                               simd::PowS(qscale, gamma_) / complexity_term;
+                               fastmath::Pow(qscale, gamma_) / complexity_term;
   constexpr double kDecay = 0.5;
   weight_ = weight_ * kDecay + 1.0;
   coef_ += (observed_coef - coef_) / weight_;

@@ -71,7 +71,7 @@ void FaultScheduler::Apply(const FaultEvent& event) {
   ++stats_.faults_applied;
   RAVE_TRACE_INSTANT(kFaultInjection, loop_.now(), ApplyLabel(event.kind));
   if (obs::MetricsRegistry* reg = obs::CurrentMetrics()) {
-    reg->GetCounter("fault.applied")->Add();
+    applied_metric_.Get(*reg)->Add();
   }
   switch (event.kind) {
     case FaultKind::kLinkOutage:

@@ -11,6 +11,7 @@
 
 #include "fault/fault_plan.h"
 #include "net/link.h"
+#include "obs/metrics_registry.h"
 #include "sim/event_loop.h"
 
 namespace rave::fault {
@@ -46,6 +47,7 @@ class FaultScheduler {
   net::Link* link_;
   net::DelayPipe* pipe_;
   FaultStats stats_;
+  obs::MetricHandle<obs::Counter> applied_metric_{"fault.applied"};
 };
 
 }  // namespace rave::fault

@@ -38,7 +38,7 @@ void Link::Send(Packet packet) {
     ++stats_.packets_dropped;
     stats_.bytes_dropped += packet.size;
     if (obs::MetricsRegistry* reg = obs::CurrentMetrics()) {
-      reg->GetCounter("net.tail_drops")->Add();
+      tail_drops_metric_.Get(*reg)->Add();
     }
     return;
   }

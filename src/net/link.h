@@ -13,6 +13,7 @@
 #include "net/capacity_trace.h"
 #include "net/loss_model.h"
 #include "net/packet.h"
+#include "obs/metrics_registry.h"
 #include "sim/event_loop.h"
 #include "sim/random_process.h"
 #include "util/inline_function.h"
@@ -174,6 +175,7 @@ class Link {
 
   DataRate current_rate_;
   LinkStats stats_;
+  obs::MetricHandle<obs::Counter> tail_drops_metric_{"net.tail_drops"};
   Rng loss_rng_;
   GilbertProcess gilbert_;
   /// Next sim time at which the Gilbert chain takes a transition.

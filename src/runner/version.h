@@ -12,10 +12,9 @@
 
 namespace rave::runner {
 
-/// One-line option set: compiled SIMD backend + active dispatch level,
-/// tracing, the allocation probe, and the runtime staging knob
-/// (RAVE_NO_STAGING). Example:
-///   "simd=avx2 dispatch=avx2 tracing=on alloc_probe=on staging=on"
+/// One-line compiled option set: tracing and the allocation probe.
+/// Example:
+///   "tracing=on alloc_probe=on"
 std::string BuildOptionsString();
 
 /// Multi-line human-readable version report (fingerprint, blob version,

@@ -124,14 +124,7 @@ bool EventLoop::PopAndRunNext(Timestamp until) {
 }
 
 void EventLoop::RunUntil(Timestamp until) {
-  while (PopAndRunNext(until)) {
-    if (pause_requested_) {
-      // Return without the trailing now_ advance: time must stay at the
-      // paused event so the resuming RunUntil continues the exact sequence.
-      pause_requested_ = false;
-      return;
-    }
-  }
+  while (PopAndRunNext(until)) {}
   if (until > now_ && until.IsFinite()) now_ = until;
 }
 

@@ -1,0 +1,146 @@
+// Compiled with -ffp-contract=off (see src/util/CMakeLists.txt). Plain
+// mul/add throughout, no std::fma: the results must be the same on CPUs
+// with and without FMA.
+#include "util/fastmath.h"
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
+namespace rave::fastmath {
+
+namespace {
+
+// --- exp2 ---------------------------------------------------------------
+// 2^x = 2^k * 2^r with k = nearbyint(x) and r in [-0.5, 0.5]: degree-12
+// Taylor expansion of 2^r (coefficients ln2^i / i!, correctly rounded;
+// truncation < 1e-16 relative over the reduced range).
+constexpr double kExp2C[13] = {
+    0x1.0000000000000p+0,  // 1
+    0x1.62e42fefa39efp-1,  // ln2
+    0x1.ebfbdff82c58fp-3,  0x1.c6b08d704a0c0p-5,  0x1.3b2ab6fba4e77p-7,
+    0x1.5d87fe78a6731p-10, 0x1.430912f86c787p-13, 0x1.ffcbfc588b0c7p-17,
+    0x1.62c0223a5c824p-20, 0x1.b5253d395e7c4p-24, 0x1.e4cf5158b8ecap-28,
+    0x1.e8cac7351bb25p-32, 0x1.c3bd650fc2986p-36,
+};
+
+// 1.5 * 2^52. Adding then subtracting it rounds |x| <= 2^51 to the nearest
+// integer (ties to even), and the low bits of the intermediate sum hold
+// that integer in two's complement: bits(kRoundBias + k) = kRoundBiasBits
+// + k.
+constexpr double kRoundBias = 0x1.8p52;
+constexpr int64_t kRoundBiasBits = 0x4338000000000000;
+
+double Exp2Poly(double r) {
+  double p = kExp2C[12];
+  for (int i = 11; i >= 0; --i) p = p * r + kExp2C[i];
+  return p;
+}
+
+// --- log2 ---------------------------------------------------------------
+// x = 2^e * m with m in [sqrt2/2, sqrt2): log2(m) = s * poly(s^2) where
+// s = (m-1)/(m+1) and poly coefficients are (2/ln2)/(2k+1), degree 10 in
+// s^2 (|s| <= (sqrt2-1)/(sqrt2+1) ~ 0.1716 keeps truncation < 1e-18).
+constexpr double kLog2C[11] = {
+    0x1.71547652b82fep+1,  // 2/ln2
+    0x1.ec709dc3a03fdp-1, 0x1.2776c50ef9bfep-1, 0x1.a61762a7aded9p-2,
+    0x1.484b13d7c02a9p-2, 0x1.0c9a84994022dp-2, 0x1.c68f568d31760p-3,
+    0x1.89f3b1694cffep-3, 0x1.5b9ac9b743f0dp-3, 0x1.3703c1f4d0ffep-3,
+    0x1.1964ec6fc9491p-3,
+};
+
+constexpr double kSqrt2 = 0x1.6a09e667f3bcdp+0;
+constexpr uint64_t kMantissaMask = 0x000FFFFFFFFFFFFFull;
+constexpr uint64_t kOneBits = 0x3FF0000000000000ull;
+
+/// log2 of a normal positive x whose raw bits are `bits`, with `e` holding
+/// its unbiased exponent as a double. Shared by the normal path and the
+/// denormal path (which rescales first).
+double Log2Normal(uint64_t bits, double e) {
+  double m = std::bit_cast<double>((bits & kMantissaMask) | kOneBits);
+  if (m >= kSqrt2) {
+    m *= 0.5;
+    e += 1.0;
+  }
+  const double s = (m - 1.0) / (m + 1.0);
+  const double z = s * s;
+  double p = kLog2C[10];
+  for (int i = 9; i >= 0; --i) p = p * z + kLog2C[i];
+  return s * p + e;
+}
+
+double Log2Special(double x) {
+  if (std::isnan(x)) return x;
+  if (x < 0.0) return std::numeric_limits<double>::quiet_NaN();
+  if (x == 0.0) return -std::numeric_limits<double>::infinity();
+  if (std::isinf(x)) return x;
+  // Positive denormal: rescale into the normal range.
+  const double xs = x * 0x1p54;
+  const uint64_t bits = std::bit_cast<uint64_t>(xs);
+  const double e =
+      static_cast<double>(static_cast<int64_t>(bits >> 52)) - 1023.0 - 54.0;
+  return Log2Normal(bits, e);
+}
+
+constexpr double kLog2E = 0x1.71547652b82fep+0;
+
+}  // namespace
+
+double Exp2(double x) {
+  if (!(x < 1024.0)) {  // +inf, NaN, or guaranteed overflow
+    return std::isnan(x) ? x : std::numeric_limits<double>::infinity();
+  }
+  if (x < -1075.0) return 0.0;  // guaranteed underflow to zero
+  const double biased = x + kRoundBias;
+  const double kd = biased - kRoundBias;
+  const double p = Exp2Poly(x - kd);
+  const int64_t k = std::bit_cast<int64_t>(biased) - kRoundBiasBits;
+  if (k >= -1021 && k <= 1023) [[likely]] {
+    // Exact scale by 2^k built from exponent bits.
+    return p * std::bit_cast<double>(static_cast<uint64_t>(k + 1023) << 52);
+  }
+  // Subnormal or near-overflow result.
+  return std::ldexp(p, static_cast<int>(k));
+}
+
+double Log2(double x) {
+  const uint64_t bits = std::bit_cast<uint64_t>(x);
+  const uint64_t expf = (bits >> 52) & 0x7FF;
+  if (x > 0.0 && expf != 0 && expf != 0x7FF) [[likely]] {
+    const double e = static_cast<double>(static_cast<int64_t>(expf)) - 1023.0;
+    return Log2Normal(bits, e);
+  }
+  return Log2Special(x);
+}
+
+double Exp(double x) { return Exp2(x * kLog2E); }
+
+double Pow(double x, double y) {
+  if (y == 0.0 || x == 1.0) return 1.0;
+  if (x < 0.0) return std::numeric_limits<double>::quiet_NaN();
+  return Exp2(Log2(x) * y);
+}
+
+double FitSlope(const double* x, const double* y, size_t n) {
+  double sum_x = 0.0;
+  double sum_y = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    sum_x += x[i];
+    sum_y += y[i];
+  }
+  const double count = static_cast<double>(n);
+  const double mean_x = sum_x / count;
+  const double mean_y = sum_y / count;
+  double numerator = 0.0;
+  double denominator = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const double dx = x[i] - mean_x;
+    const double dy = y[i] - mean_y;
+    numerator += dx * dy;
+    denominator += dx * dx;
+  }
+  return denominator > 0.0 ? numerator / denominator : 0.0;
+}
+
+}  // namespace rave::fastmath

@@ -8,6 +8,7 @@
 
 #include "fault/fault_plan.h"
 #include "net/link.h"
+#include "obs/metrics_registry.h"
 #include "sim/event_loop.h"
 
 namespace rave::fault {
@@ -358,6 +359,47 @@ TEST(FaultSchedulerTest, FaultFreeLinkIsByteIdenticalWithHooksPresent) {
     EXPECT_EQ(without[i].first, with[i].first);
     EXPECT_EQ(without[i].second, with[i].second);
   }
+}
+
+// The fault.applied counter goes to whichever registry is installed when
+// the fault fires: one scheduler, two registries in turn, each must count
+// exactly the faults applied while it was installed.
+TEST(FaultSchedulerTest, AppliedCounterFollowsInstalledRegistry) {
+  LinkFixture fx;
+  FaultPlan plan;
+  plan.Outage(Timestamp::Millis(100), TimeDelta::Millis(50))
+      .DelaySpike(Timestamp::Millis(200), TimeDelta::Millis(50),
+                  TimeDelta::Millis(30))
+      .Outage(Timestamp::Millis(600), TimeDelta::Millis(50))
+      .DelaySpike(Timestamp::Millis(700), TimeDelta::Millis(50),
+                  TimeDelta::Millis(30))
+      .Outage(Timestamp::Millis(800), TimeDelta::Millis(50));
+  FaultScheduler scheduler(fx.loop, plan, fx.link.get(), nullptr);
+  auto applied = [](const obs::MetricsRegistry& registry) {
+    const obs::RegistrySnapshot snap = registry.Snapshot();
+    const obs::MetricSnapshot* m = snap.Find("fault.applied");
+    return m != nullptr ? m->counter : 0u;
+  };
+
+  obs::MetricsRegistry first;
+  {
+    obs::MetricsScope scope(&first);
+    fx.loop.RunUntil(Timestamp::Millis(500));
+  }
+  const int64_t first_applied = scheduler.stats().faults_applied;
+  ASSERT_EQ(first_applied, 2);
+  EXPECT_EQ(applied(first), static_cast<uint64_t>(first_applied));
+
+  obs::MetricsRegistry second;
+  {
+    obs::MetricsScope scope(&second);
+    fx.loop.RunUntil(Timestamp::Seconds(1));
+  }
+  const int64_t second_applied =
+      scheduler.stats().faults_applied - first_applied;
+  ASSERT_EQ(second_applied, 3);
+  EXPECT_EQ(applied(second), static_cast<uint64_t>(second_applied));
+  EXPECT_EQ(applied(first), static_cast<uint64_t>(first_applied));
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "obs/metrics_registry.h"
+
 namespace rave::net {
 namespace {
 
@@ -120,6 +122,40 @@ TEST(LinkTest, ConservationDeliveredPlusDroppedEqualsSent) {
             sent);
   EXPECT_EQ(static_cast<int>(fx.deliveries.size()),
             static_cast<int>(fx.link->stats().packets_delivered));
+}
+
+// The net.tail_drops counter goes to whichever registry is installed when
+// the drop happens: one link, two registries in turn, each must count
+// exactly the drops made while it was installed.
+TEST(LinkTest, TailDropCounterFollowsInstalledRegistry) {
+  Link::Config config;
+  config.trace = CapacityTrace::Constant(DataRate::KilobitsPerSec(100));
+  config.queue_capacity = DataSize::Bits(25'000);
+  LinkFixture fx(std::move(config));
+  auto tail_drops = [](const obs::MetricsRegistry& registry) {
+    const obs::RegistrySnapshot snap = registry.Snapshot();
+    const obs::MetricSnapshot* m = snap.Find("net.tail_drops");
+    return m != nullptr ? m->counter : 0u;
+  };
+
+  obs::MetricsRegistry first;
+  {
+    obs::MetricsScope scope(&first);
+    for (int i = 0; i < 6; ++i) fx.link->Send(MakePacket(i, 12'000));
+  }
+  const int64_t first_drops = fx.link->stats().packets_dropped;
+  ASSERT_GT(first_drops, 0);
+  EXPECT_EQ(tail_drops(first), static_cast<uint64_t>(first_drops));
+
+  obs::MetricsRegistry second;
+  {
+    obs::MetricsScope scope(&second);
+    for (int i = 6; i < 10; ++i) fx.link->Send(MakePacket(i, 12'000));
+  }
+  const int64_t second_drops = fx.link->stats().packets_dropped - first_drops;
+  ASSERT_GT(second_drops, 0);
+  EXPECT_EQ(tail_drops(second), static_cast<uint64_t>(second_drops));
+  EXPECT_EQ(tail_drops(first), static_cast<uint64_t>(first_drops));
 }
 
 TEST(LinkTest, BacklogAndQueueDelayTrackLoad) {

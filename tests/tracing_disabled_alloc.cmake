@@ -23,7 +23,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${OUT} --target hotpath_alloc_test
-          --parallel
+          --parallel 4
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "nested RAVE_TRACING=OFF build failed (rc=${rc})")
