@@ -9,9 +9,9 @@
 // `run_suite --baseline=FILE` (and the standalone `bench_compare` tool)
 // diff a current run against a prior record. The comparison policy mirrors
 // the repo's determinism contract:
-//   * quality fields (counters, gauges, sketch count/sum/min/max and
-//     percentiles) are sim-deterministic, so they are compared BYTE-EXACT —
-//     any drift is a regression (or an unbumped fingerprint);
+//   * quality fields (counters, sketch count/sum/min/max and percentiles)
+//     are sim-deterministic, so they are compared BYTE-EXACT — any drift
+//     is a regression (or an unbumped fingerprint);
 //   * wall-clock fields are noise-banded: a slowdown beyond the band is
 //     reported in the verdict table but NEVER trips the non-zero exit on
 //     its own.
@@ -62,10 +62,9 @@ struct HistoryRecord {
 };
 
 /// Distills a merged registry snapshot into quality pairs: `wall.*` and
-/// `alloc.*` metrics are excluded (host-side), counters/gauges keep their
-/// value, sketches and histograms expand to .count/.sum/.min/.max and
-/// .p50/.p95/.p99. Doubles are formatted with max_digits10 so equal strings
-/// mean equal bits.
+/// `alloc.*` metrics are excluded (host-side), counters keep their value,
+/// sketches expand to .count/.sum/.min/.max and .p50/.p95/.p99. Doubles are
+/// formatted with max_digits10 so equal strings mean equal bits.
 std::vector<std::pair<std::string, std::string>> QualityPairs(
     const obs::RegistrySnapshot& snapshot);
 

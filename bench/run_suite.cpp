@@ -12,8 +12,8 @@
 //
 // BENCH_suite.json carries three metric sections:
 //   "metrics"  — the deterministic merge of every session's metric registry
-//                (counters, gauges, sketch/histogram percentiles); identical
-//                between cold and warm passes and across job counts.
+//                (counters and sketch percentiles); identical between
+//                cold and warm passes and across job counts.
 //   "sketches" — one line per merged quantile sketch: exact count/sum/
 //                min/max, the standard percentile ladder, and the encoded
 //                sketch blob as hex. Byte-identical across --jobs,
@@ -94,8 +94,8 @@ std::string NumExact(double v) {
 }
 
 /// One JSON line per metric, mirroring the MetricSnapshot schema.
-/// Distributions come with interpolated p50/p95/p99, so the suite report is
-/// directly plottable without re-deriving percentiles from buckets.
+/// Sketches come with p50/p95/p99, so the suite report is directly
+/// plottable without re-deriving percentiles from buckets.
 void WriteMetricsJson(std::ostream& json, const char* indent,
                       const rave::obs::RegistrySnapshot& snapshot) {
   using rave::obs::MetricKind;
@@ -106,25 +106,14 @@ void WriteMetricsJson(std::ostream& json, const char* indent,
       case MetricKind::kCounter:
         json << "\"kind\": \"counter\", \"value\": " << m.counter;
         break;
-      case MetricKind::kGauge:
-        json << "\"kind\": \"gauge\", \"value\": " << Num(m.gauge);
-        break;
-      case MetricKind::kHistogram:
-        json << "\"kind\": \"histogram\", \"count\": " << m.count
-             << ", \"sum\": " << Num(m.sum) << ", \"min\": " << Num(m.min)
-             << ", \"max\": " << Num(m.max)
-             << ", \"p50\": " << Num(m.Percentile(0.50))
-             << ", \"p95\": " << Num(m.Percentile(0.95))
-             << ", \"p99\": " << Num(m.Percentile(0.99));
-        break;
       case MetricKind::kSketch:
         json << "\"kind\": \"sketch\", \"count\": " << m.sketch.count()
              << ", \"sum\": " << Num(m.sketch.sum())
              << ", \"min\": " << Num(m.sketch.min())
              << ", \"max\": " << Num(m.sketch.max())
-             << ", \"p50\": " << Num(m.Percentile(0.50))
-             << ", \"p95\": " << Num(m.Percentile(0.95))
-             << ", \"p99\": " << Num(m.Percentile(0.99));
+             << ", \"p50\": " << Num(m.sketch.Quantile(0.50))
+             << ", \"p95\": " << Num(m.sketch.Quantile(0.95))
+             << ", \"p99\": " << Num(m.sketch.Quantile(0.99));
         break;
     }
     json << "}" << (i + 1 < snapshot.metrics.size() ? "," : "") << '\n';

@@ -1,41 +1,25 @@
-// Table 4: controller overhead microbenchmarks (google-benchmark) plus
-// simulator throughput. The paper's premise is that per-frame adaptation is
-// cheap enough to run in the encode path; these benchmarks measure the
-// per-frame decision cost of each rate control, the R-D model, the
-// estimator's per-feedback cost, and the event-loop schedule/cancel path.
+// Table 4: controller overhead microbenchmarks (google-benchmark). The
+// paper's premise is that per-frame adaptation is cheap enough to run in
+// the encode path; these benchmarks measure the per-frame decision cost of
+// each rate control, the R-D model, the estimator's per-feedback cost, and
+// the event-loop schedule/cancel path.
 //
-// After the microbenchmarks a throughput section measures end-to-end
-// simulation speed — wall clock, sessions/sec and events/sec, serial vs
-// parallel (`--jobs`) — cross-checks that the parallel results are
-// bit-identical to the serial ones, and records the numbers in
-// BENCH_runner.json so future PRs have a perf trajectory to compare
-// against.
+// An allocation section follows: with the RAVE_ALLOC_PROBE build option it
+// counts steady-state allocations per event-loop event and per encoded
+// frame, and records them in BENCH_hotpath.json.
+// Simulator throughput and per-layer wall attribution are perfbench's job
+// (perfbench/README.md).
 //
-// A hot-path section then measures the event loop's schedule/cancel/fire
-// throughput with manual timing and — when the build carries the
-// RAVE_ALLOC_PROBE option — the steady-state allocation counts per
-// event-loop cycle and per encoded frame, recorded in BENCH_hotpath.json.
-//
-// A per-stage breakdown closes the run: one instrumented serial pass of the
-// same session matrix, its wall time attributed to rate control, R-D math,
-// the estimator and each transport hop (obs/stage_timer.h).
-//
-// Flags: --jobs=N (parallel worker count, default hardware concurrency),
-//        --runner-sessions=N (matrix size, default 64),
-//        --runner-duration=S (simulated seconds per session, default 30),
-//        --json=PATH (default BENCH_runner.json; "-" disables),
-//        --hotpath-json=PATH (default BENCH_hotpath.json; "-" disables),
-//        --smoke (skip the google-benchmark loop, shrink the matrix),
+// Flags: --hotpath-json=PATH (default BENCH_hotpath.json; "-" disables),
+//        --smoke (skip the google-benchmark loop, shorten the allocation
+//        sessions),
 //        plus any --benchmark_* flag google-benchmark accepts.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,16 +28,10 @@
 #include "codec/abr_rate_control.h"
 #include "codec/cbr_rate_control.h"
 #include "codec/encoder.h"
-#include "common.h"
 #include "core/adaptive_rate_control.h"
-#include "obs/metrics_registry.h"
-#include "obs/sketch.h"
-#include "obs/stage_timer.h"
 #include "rtc/session.h"
-#include "runner/parallel_runner.h"
 #include "sim/event_loop.h"
 #include "util/alloc_probe.h"
-#include "util/byteio.h"
 #include "util/flags.h"
 #include "util/table.h"
 #include "video/video_source.h"
@@ -216,200 +194,67 @@ void BM_EventLoopScheduleCancel(benchmark::State& state) {
 }
 BENCHMARK(BM_EventLoopScheduleCancel)->Arg(256)->Arg(4096);
 
-double WallSeconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
+// --- allocation section -----------------------------------------------
 
-// --- hot-path section -------------------------------------------------
-
-struct HotpathStats {
-  double schedule_run_events_per_s = 0;
-  double schedule_cancel_events_per_s = 0;
+struct AllocStats {
   double allocs_per_event = 0;
   double allocs_per_frame = 0;
   bool alloc_probe = false;
 };
 
-/// Manual (non-google-benchmark) timing of the event-loop hot paths plus the
-/// steady-state allocation rates the zero-allocation design promises. The
-/// allocation figures use a long-minus-short delta so construction and
-/// warm-up costs cancel; they read 0 when the build lacks RAVE_ALLOC_PROBE.
-HotpathStats MeasureHotpath(bool smoke) {
-  HotpathStats stats;
+/// Steady-state allocation rates the zero-allocation design promises: per
+/// event over schedule+fire cycles of the BM_EventLoopScheduleRun/4096
+/// pattern, and per frame as a long-minus-short session delta so
+/// construction and warm-up costs cancel. Both read 0 when the build lacks
+/// RAVE_ALLOC_PROBE.
+AllocStats MeasureAllocs(bool smoke) {
+  AllocStats stats;
   stats.alloc_probe = AllocProbeEnabled();
+  if (!stats.alloc_probe) return stats;
+
   const int64_t batch = 4096;
   const int rounds = smoke ? 50 : 500;
-
+  EventLoop loop;
+  loop.Reserve(static_cast<size_t>(batch));
+  int64_t sink = 0;
+  auto cycle = [&] {
+    for (int64_t i = 0; i < batch; ++i) {
+      loop.Schedule(TimeDelta::Micros(i % 97), [&sink] { ++sink; });
+    }
+    loop.RunAll();
+  };
+  cycle();  // warm-up
   {
-    EventLoop loop;
-    loop.Reserve(static_cast<size_t>(batch));
-    int64_t sink = 0;
-    auto cycle = [&] {
-      for (int64_t i = 0; i < batch; ++i) {
-        loop.Schedule(TimeDelta::Micros(i % 97), [&sink] { ++sink; });
-      }
-      loop.RunAll();
-    };
-    cycle();  // warm-up
-    const auto start = std::chrono::steady_clock::now();
     AllocScope scope;
     for (int r = 0; r < rounds; ++r) cycle();
-    const double events = static_cast<double>(rounds) * batch;
-    stats.schedule_run_events_per_s = events / WallSeconds(start);
-    stats.allocs_per_event = static_cast<double>(scope.allocs()) / events;
-  }
-  {
-    EventLoop loop;
-    loop.Reserve(static_cast<size_t>(batch));
-    std::vector<EventHandle> handles;
-    handles.reserve(static_cast<size_t>(batch));
-    int64_t sink = 0;
-    auto cycle = [&] {
-      handles.clear();
-      for (int64_t i = 0; i < batch; ++i) {
-        handles.push_back(loop.Schedule(TimeDelta::Micros(100 + i % 97),
-                                        [&sink] { ++sink; }));
-      }
-      for (size_t i = 0; i < handles.size(); i += 2) loop.Cancel(handles[i]);
-      loop.RunAll();
-    };
-    cycle();  // warm-up
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) cycle();
-    stats.schedule_cancel_events_per_s =
-        static_cast<double>(rounds) * batch / WallSeconds(start);
-  }
-  if (stats.alloc_probe) {
-    auto session_allocs = [](double seconds) {
-      rtc::SessionConfig config;
-      config.duration = TimeDelta::SecondsF(seconds);
-      AllocScope scope;
-      const rtc::SessionResult result = rtc::RunSession(config);
-      return std::pair<uint64_t, size_t>(scope.allocs(), result.frames.size());
-    };
-    const auto [short_allocs, short_frames] =
-        session_allocs(smoke ? 3.0 : 5.0);
-    const auto [long_allocs, long_frames] = session_allocs(smoke ? 6.0 : 10.0);
-    if (long_allocs > short_allocs && long_frames > short_frames) {
-      stats.allocs_per_frame = static_cast<double>(long_allocs - short_allocs) /
-                               static_cast<double>(long_frames - short_frames);
-    }
-  }
-  return stats;
-}
-
-// --- sketch-vs-vector aggregation -------------------------------------
-
-struct AggregationStats {
-  /// Sessions folded into the cross-session aggregate per second.
-  double sketch_sessions_per_s = 0;
-  double vector_sessions_per_s = 0;
-  /// Bytes each path retains per session to answer percentile queries.
-  double sketch_bytes_per_session = 0;
-  double vector_bytes_per_session = 0;
-  double samples_per_session = 0;
-};
-
-/// Cross-session latency aggregation, both candidate paths: merging the
-/// per-session quantile sketches (what the suite does now — O(sketch)
-/// memory) vs retaining every per-frame latency vector and selecting exact
-/// order statistics (the old path — O(total frames) memory). Each round
-/// aggregates the same simulated sessions and answers the p50/p95/p99
-/// ladder, so the throughput numbers compare like for like.
-AggregationStats MeasureAggregation(bool smoke) {
-  AggregationStats stats;
-  const int sessions = 8;
-  const double severities[] = {0.3, 0.5, 0.7};
-  std::vector<rtc::SessionResult> results;
-  results.reserve(static_cast<size_t>(sessions));
-  for (int i = 0; i < sessions; ++i) {
-    results.push_back(rtc::RunSession(bench::DefaultConfig(
-        rtc::Scheme::kAdaptive,
-        bench::DropTrace(severities[static_cast<size_t>(i) % 3]),
-        video::ContentClass::kTalkingHead,
-        TimeDelta::SecondsF(smoke ? 6.0 : 15.0),
-        static_cast<uint64_t>(i) + 1)));
-  }
-
-  std::vector<const obs::QuantileSketch*> sketches;
-  std::vector<std::vector<double>> vectors;
-  uint64_t total_samples = 0;
-  uint64_t sketch_bytes = 0;
-  for (const rtc::SessionResult& r : results) {
-    const obs::QuantileSketch* s = bench::LatencySketch(r);
-    if (s == nullptr) continue;
-    sketches.push_back(s);
-    vectors.push_back(bench::FrameLatenciesMs(r));
-    total_samples += vectors.back().size();
-    ByteWriter w;
-    s->Encode(w);
-    sketch_bytes += w.bytes().size();
-  }
-  if (sketches.empty()) return stats;
-  stats.samples_per_session =
-      static_cast<double>(total_samples) / static_cast<double>(sketches.size());
-  stats.sketch_bytes_per_session =
-      static_cast<double>(sketch_bytes) / static_cast<double>(sketches.size());
-  stats.vector_bytes_per_session =
-      stats.samples_per_session * static_cast<double>(sizeof(double));
-
-  const int rounds = smoke ? 200 : 2000;
-  const double quantiles[] = {0.50, 0.95, 0.99};
-  double sink = 0;
-  {
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      obs::QuantileSketch merged;
-      for (const obs::QuantileSketch* s : sketches) merged.Merge(*s);
-      for (double q : quantiles) sink += merged.Quantile(q);
-    }
-    stats.sketch_sessions_per_s = static_cast<double>(rounds) *
-                                  static_cast<double>(sketches.size()) /
-                                  WallSeconds(start);
-  }
-  {
-    std::vector<double> all;
-    const auto start = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-      all.clear();
-      all.reserve(static_cast<size_t>(total_samples));
-      for (const std::vector<double>& v : vectors) {
-        all.insert(all.end(), v.begin(), v.end());
-      }
-      for (double q : quantiles) {
-        const size_t k = std::min(
-            all.size() - 1,
-            static_cast<size_t>(q * static_cast<double>(all.size() - 1)));
-        std::nth_element(all.begin(),
-                         all.begin() + static_cast<std::ptrdiff_t>(k),
-                         all.end());
-        sink += all[k];
-      }
-    }
-    stats.vector_sessions_per_s = static_cast<double>(rounds) *
-                                  static_cast<double>(vectors.size()) /
-                                  WallSeconds(start);
+    stats.allocs_per_event = static_cast<double>(scope.allocs()) /
+                             (static_cast<double>(rounds) * batch);
   }
   benchmark::DoNotOptimize(sink);
+
+  auto session_allocs = [](double seconds) {
+    rtc::SessionConfig config;
+    config.duration = TimeDelta::SecondsF(seconds);
+    AllocScope scope;
+    const rtc::SessionResult result = rtc::RunSession(config);
+    return std::pair<uint64_t, size_t>(scope.allocs(), result.frames.size());
+  };
+  const auto [short_allocs, short_frames] = session_allocs(smoke ? 3.0 : 5.0);
+  const auto [long_allocs, long_frames] = session_allocs(smoke ? 6.0 : 10.0);
+  if (long_allocs > short_allocs && long_frames > short_frames) {
+    stats.allocs_per_frame = static_cast<double>(long_allocs - short_allocs) /
+                             static_cast<double>(long_frames - short_frames);
+  }
   return stats;
 }
 
-void RunHotpathSection(bool smoke, const std::string& json_path) {
-  const HotpathStats stats = MeasureHotpath(smoke);
-  const AggregationStats agg = MeasureAggregation(smoke);
+void RunAllocSection(bool smoke, const std::string& json_path) {
+  const AllocStats stats = MeasureAllocs(smoke);
 
-  std::cout << "\nEvent-loop hot path (manual timing, batch=4096"
+  std::cout << "\nHot-path allocations (batch=4096"
             << (stats.alloc_probe ? ", alloc probe on" : ", alloc probe OFF")
             << ")\n\n";
   Table table({"metric", "value"});
-  table.AddRow()
-      .Cell("schedule+fire (M events/s)")
-      .Cell(stats.schedule_run_events_per_s / 1e6, 2);
-  table.AddRow()
-      .Cell("schedule+cancel+fire (M events/s)")
-      .Cell(stats.schedule_cancel_events_per_s / 1e6, 2);
   table.AddRow()
       .Cell("allocations/event, steady state")
       .Cell(stats.allocs_per_event, 4);
@@ -418,235 +263,15 @@ void RunHotpathSection(bool smoke, const std::string& json_path) {
       .Cell(stats.allocs_per_frame, 2);
   table.Print(std::cout);
 
-  std::cout << "\nCross-session latency aggregation ("
-            << agg.samples_per_session << " samples/session): sketch merge "
-               "vs exact vectors\n\n";
-  Table agg_table({"path", "sessions/s", "bytes/session"});
-  agg_table.AddRow()
-      .Cell("sketch merge + quantile ladder")
-      .Cell(agg.sketch_sessions_per_s, 0)
-      .Cell(agg.sketch_bytes_per_session, 0);
-  agg_table.AddRow()
-      .Cell("vector concat + nth_element")
-      .Cell(agg.vector_sessions_per_s, 0)
-      .Cell(agg.vector_bytes_per_session, 0);
-  agg_table.Print(std::cout);
-
   if (json_path != "-") {
     std::ofstream json(json_path);
     json << "{\n"
          << "  \"alloc_probe\": " << (stats.alloc_probe ? "true" : "false")
          << ",\n"
-         << "  \"schedule_run_events_per_s\": "
-         << stats.schedule_run_events_per_s << ",\n"
-         << "  \"schedule_cancel_events_per_s\": "
-         << stats.schedule_cancel_events_per_s << ",\n"
          << "  \"allocs_per_event\": " << stats.allocs_per_event << ",\n"
-         << "  \"allocs_per_frame\": " << stats.allocs_per_frame << ",\n"
-         << "  \"sketch_agg_sessions_per_s\": " << agg.sketch_sessions_per_s
-         << ",\n"
-         << "  \"vector_agg_sessions_per_s\": " << agg.vector_sessions_per_s
-         << ",\n"
-         << "  \"sketch_bytes_per_session\": " << agg.sketch_bytes_per_session
-         << ",\n"
-         << "  \"vector_bytes_per_session\": " << agg.vector_bytes_per_session
-         << ",\n"
-         << "  \"agg_samples_per_session\": " << agg.samples_per_session
-         << "\n}\n";
+         << "  \"allocs_per_frame\": " << stats.allocs_per_frame << "\n}\n";
     std::cout << "wrote " << json_path << "\n";
   }
-}
-
-// --- throughput section -----------------------------------------------
-
-/// Deterministic session matrix for the throughput measurement: cycles
-/// schemes x severities x seeds so the mix resembles a real sweep.
-std::vector<rtc::SessionConfig> ThroughputMatrix(int sessions,
-                                                 TimeDelta duration) {
-  const rtc::Scheme schemes[] = {rtc::Scheme::kX264Abr, rtc::Scheme::kAdaptive,
-                                 rtc::Scheme::kSalsify};
-  const double severities[] = {0.3, 0.5, 0.7};
-  std::vector<rtc::SessionConfig> configs;
-  configs.reserve(static_cast<size_t>(sessions));
-  for (int i = 0; i < sessions; ++i) {
-    configs.push_back(bench::DefaultConfig(
-        schemes[static_cast<size_t>(i) % std::size(schemes)],
-        bench::DropTrace(severities[static_cast<size_t>(i) % std::size(severities)]),
-        video::ContentClass::kTalkingHead, duration,
-        /*seed=*/static_cast<uint64_t>(i) + 1));
-  }
-  return configs;
-}
-
-bool SameResults(const std::vector<rtc::SessionResult>& a,
-                 const std::vector<rtc::SessionResult>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].scheme_name != b[i].scheme_name ||
-        a[i].frames.size() != b[i].frames.size() ||
-        a[i].events_executed != b[i].events_executed ||
-        a[i].summary.latency_mean_ms != b[i].summary.latency_mean_ms ||
-        a[i].summary.encoded_ssim_mean != b[i].summary.encoded_ssim_mean ||
-        a[i].link_stats.packets_delivered != b[i].link_stats.packets_delivered) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// --- per-stage breakdown ----------------------------------------------
-
-/// Wall-clock attribution of a jobs=1 run of `configs` to the hot-path
-/// stages (obs/stage_timer.h): rate control, R-D math, trendline estimator,
-/// and the transport split per hop (pacer, link, feedback+NACK, assembler);
-/// the remainder is event-loop machinery and everything else. Runs as a
-/// dedicated instrumented pass so the Scope overhead never pollutes the
-/// throughput numbers.
-struct StageBreakdown {
-  double wall_s = 0;
-  double control_s = 0;
-  double rd_s = 0;
-  double trendline_s = 0;
-  double pacer_s = 0;
-  double link_s = 0;
-  double feedback_nack_s = 0;
-  double assembler_s = 0;
-  /// The former monolithic transport bucket, kept for trajectory continuity.
-  double transport_s() const {
-    return pacer_s + link_s + feedback_nack_s + assembler_s;
-  }
-  double other_s() const {
-    return std::max(0.0,
-                    wall_s - control_s - rd_s - trendline_s - transport_s());
-  }
-};
-
-StageBreakdown MeasureStageBreakdown(
-    const std::vector<rtc::SessionConfig>& configs) {
-  obs::StageTimer::Enable(true);
-  obs::StageTimer::Reset();
-  const auto start = std::chrono::steady_clock::now();
-  runner::RunSessions(configs, /*jobs=*/1);
-  StageBreakdown b;
-  b.wall_s = WallSeconds(start);
-  b.control_s = obs::StageTimer::Seconds(obs::StageTimer::kControl);
-  b.rd_s = obs::StageTimer::Seconds(obs::StageTimer::kRd);
-  b.trendline_s = obs::StageTimer::Seconds(obs::StageTimer::kTrendline);
-  b.pacer_s = obs::StageTimer::Seconds(obs::StageTimer::kPacer);
-  b.link_s = obs::StageTimer::Seconds(obs::StageTimer::kLink);
-  b.feedback_nack_s = obs::StageTimer::Seconds(obs::StageTimer::kFeedbackNack);
-  b.assembler_s = obs::StageTimer::Seconds(obs::StageTimer::kAssembler);
-  obs::StageTimer::Enable(false);
-  return b;
-}
-
-void PrintBreakdownRow(Table& table, const char* stage, double stage_s,
-                       double wall_s) {
-  table.AddRow().Cell(stage).Cell(stage_s, 3).Cell(100.0 * stage_s / wall_s, 1);
-}
-
-int RunThroughputSection(int sessions, TimeDelta duration, int jobs,
-                         const std::string& json_path) {
-  const auto configs = ThroughputMatrix(sessions, duration);
-
-  const auto serial_start = std::chrono::steady_clock::now();
-  const auto serial = runner::RunSessions(configs, /*jobs=*/1);
-  const double serial_s = WallSeconds(serial_start);
-
-  const int parallel_jobs = jobs > 0 ? jobs : runner::DefaultJobs();
-  const auto parallel_start = std::chrono::steady_clock::now();
-  const auto parallel = runner::RunSessions(configs, parallel_jobs);
-  const double parallel_s = WallSeconds(parallel_start);
-
-  // Instrumented pass (separate from the timed runs above): where does a
-  // serial session's wall time go?
-  const StageBreakdown stage_serial = MeasureStageBreakdown(configs);
-
-  const uint64_t events = std::accumulate(
-      serial.begin(), serial.end(), uint64_t{0},
-      [](uint64_t sum, const rtc::SessionResult& r) {
-        return sum + r.events_executed;
-      });
-
-  const bool identical = SameResults(serial, parallel);
-  const double serial_sps = sessions / serial_s;
-  const double parallel_sps = sessions / parallel_s;
-
-  std::cout << "\nSimulator throughput (" << sessions << " sessions x "
-            << duration.seconds() << " s simulated, jobs=" << parallel_jobs
-            << ")\n\n";
-  Table table({"mode", "wall(s)", "sessions/s", "events/s", "speedup"});
-  table.AddRow()
-      .Cell("serial")
-      .Cell(serial_s, 3)
-      .Cell(serial_sps, 1)
-      .Cell(static_cast<double>(events) / serial_s, 0)
-      .Cell(1.0, 2);
-  table.AddRow()
-      .Cell("parallel")
-      .Cell(parallel_s, 3)
-      .Cell(parallel_sps, 1)
-      .Cell(static_cast<double>(events) / parallel_s, 0)
-      .Cell(serial_s / parallel_s, 2);
-  table.Print(std::cout);
-  std::cout << "parallel results bit-identical to serial: "
-            << (identical ? "yes" : "NO — DETERMINISM VIOLATION") << "\n";
-
-  // Per-stage attribution (instrumented pass; its wall includes the Scope
-  // overhead and is not comparable to the throughput rows above).
-  std::cout << "\nPer-stage wall attribution (jobs=1, instrumented pass)\n\n";
-  Table stage_table({"stage", "wall (s)", "%"});
-  const double stage_wall = stage_serial.wall_s;
-  PrintBreakdownRow(stage_table, "rate control", stage_serial.control_s,
-                    stage_wall);
-  PrintBreakdownRow(stage_table, "R-D math", stage_serial.rd_s, stage_wall);
-  PrintBreakdownRow(stage_table, "trendline/GCC", stage_serial.trendline_s,
-                    stage_wall);
-  PrintBreakdownRow(stage_table, "pacer+send", stage_serial.pacer_s,
-                    stage_wall);
-  PrintBreakdownRow(stage_table, "link", stage_serial.link_s, stage_wall);
-  PrintBreakdownRow(stage_table, "feedback+nack", stage_serial.feedback_nack_s,
-                    stage_wall);
-  PrintBreakdownRow(stage_table, "assembler", stage_serial.assembler_s,
-                    stage_wall);
-  PrintBreakdownRow(stage_table, "event loop + other", stage_serial.other_s(),
-                    stage_wall);
-  stage_table.Print(std::cout);
-
-  if (json_path != "-") {
-    std::ofstream json(json_path);
-    json << "{\n"
-         << "  \"sessions\": " << sessions << ",\n"
-         << "  \"session_duration_s\": " << duration.seconds() << ",\n"
-         << "  \"jobs\": " << parallel_jobs << ",\n"
-         << "  \"serial_wall_s\": " << serial_s << ",\n"
-         << "  \"parallel_wall_s\": " << parallel_s << ",\n"
-         << "  \"serial_sessions_per_s\": " << serial_sps << ",\n"
-         << "  \"parallel_sessions_per_s\": " << parallel_sps << ",\n"
-         << "  \"speedup\": " << serial_s / parallel_s << ",\n"
-         << "  \"events_executed\": " << events << ",\n"
-         << "  \"serial_events_per_s\": "
-         << static_cast<double>(events) / serial_s << ",\n"
-         << "  \"parallel_identical\": " << (identical ? "true" : "false")
-         << ",\n"
-         << "  \"stage_serial_wall_s\": " << stage_serial.wall_s << ",\n"
-         << "  \"stage_serial_control_s\": " << stage_serial.control_s << ",\n"
-         << "  \"stage_serial_rd_s\": " << stage_serial.rd_s << ",\n"
-         << "  \"stage_serial_trendline_s\": " << stage_serial.trendline_s
-         << ",\n"
-         << "  \"stage_serial_pacer_s\": " << stage_serial.pacer_s << ",\n"
-         << "  \"stage_serial_link_s\": " << stage_serial.link_s << ",\n"
-         << "  \"stage_serial_feedback_nack_s\": "
-         << stage_serial.feedback_nack_s << ",\n"
-         << "  \"stage_serial_assembler_s\": " << stage_serial.assembler_s
-         << ",\n"
-         << "  \"stage_serial_transport_s\": " << stage_serial.transport_s()
-         << ",\n"
-         << "  \"stage_serial_other_s\": " << stage_serial.other_s()
-         << "\n}\n";
-    std::cout << "wrote " << json_path << "\n";
-  }
-  return identical ? 0 : 1;
 }
 
 }  // namespace
@@ -656,27 +281,18 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);  // consumes --benchmark_* flags
   try {
     const rave::Flags flags(argc - 1, argv + 1);
-    for (const std::string& key :
-         flags.UnknownKeys({"jobs", "runner-sessions", "runner-duration",
-                            "json", "hotpath-json", "smoke"})) {
+    for (const std::string& key : flags.UnknownKeys({"hotpath-json", "smoke"})) {
       std::cerr << "error: unknown flag --" << key
                 << "\nsee the header of bench/tab4_microbench.cpp\n";
       return 2;
     }
     const bool smoke = flags.GetBool("smoke", false);
-    const int jobs = static_cast<int>(flags.GetInt("jobs", 0));
-    const int sessions =
-        static_cast<int>(flags.GetInt("runner-sessions", smoke ? 8 : 64));
-    const rave::TimeDelta duration = rave::TimeDelta::SecondsF(
-        flags.GetDouble("runner-duration", smoke ? 12.0 : 30.0));
-    const std::string json_path =
-        flags.GetString("json", "BENCH_runner.json");
     const std::string hotpath_json_path =
         flags.GetString("hotpath-json", "BENCH_hotpath.json");
 
     if (!smoke) benchmark::RunSpecifiedBenchmarks();
-    rave::RunHotpathSection(smoke, hotpath_json_path);
-    return rave::RunThroughputSection(sessions, duration, jobs, json_path);
+    rave::RunAllocSection(smoke, hotpath_json_path);
+    return 0;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
     return 2;

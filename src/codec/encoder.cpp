@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "obs/metrics_registry.h"
-#include "obs/stage_timer.h"
 #include "obs/trace.h"
 #include "util/fastmath.h"
 
@@ -46,11 +45,7 @@ EncodedFrame Encoder::EncodeFrame(const video::RawFrame& frame,
   const double cplx_term = type == FrameType::kKey
                                ? pixels * frame.spatial_complexity
                                : pixels * frame.temporal_complexity;
-  FrameGuidance guidance;
-  {
-    const obs::StageTimer::Scope timer(obs::StageTimer::kControl);
-    guidance = rc_->PlanFrame(frame, type, now);
-  }
+  const FrameGuidance guidance = rc_->PlanFrame(frame, type, now);
 
   EncodedFrame out;
   out.frame_id = frame.frame_id;
@@ -73,7 +68,6 @@ EncodedFrame Encoder::EncodeFrame(const video::RawFrame& frame,
       frames_skipped_metric_.Get(*reg)->Add();
     }
     outcome.skipped = true;
-    const obs::StageTimer::Scope timer(obs::StageTimer::kControl);
     rc_->OnFrameEncoded(outcome, now);
     ++frames_encoded_;
     return out;
@@ -81,34 +75,29 @@ EncodedFrame Encoder::EncodeFrame(const video::RawFrame& frame,
 
   int reencodes = 0;
   double qp = std::clamp(guidance.qp, kMinQp, kMaxQp);
-  double qscale = 0.0;
-  DataSize size = DataSize::Zero();
-  {
-    const obs::StageTimer::Scope timer(obs::StageTimer::kRd);
-    qscale = QpToQscale(qp);
-    size = rd_.ActualBits(type, frame, qscale);
-    // Hard-cap enforcement: re-encode at a higher QP until the frame fits or
-    // the retry budget is spent (x264's VBV loop with row-level re-quant).
-    if (guidance.max_size.IsFinite()) {
-      const double cap = static_cast<double>(guidance.max_size.bits());
-      while (static_cast<double>(size.bits()) >
-                 cap * (1.0 + config_.cap_tolerance) &&
-             reencodes < config_.max_reencodes && qp < kMaxQp) {
-        // Scale qscale by the observed overshoot, inverted through the
-        // type-appropriate exponent, with a safety factor.
-        const double gamma =
-            type == FrameType::kKey ? config_.rd.gamma_i : config_.rd.gamma_p;
-        const double overshoot = static_cast<double>(size.bits()) / cap;
-        qscale *= fastmath::Pow(overshoot * 1.1, 1.0 / gamma);
-        qscale = std::clamp(qscale, QpToQscale(kMinQp), QpToQscale(kMaxQp));
-        qp = QscaleToQp(qscale);
-        size = rd_.ActualBits(type, frame, qscale);
-        ++reencodes;
-      }
+  double qscale = QpToQscale(qp);
+  DataSize size = rd_.ActualBits(type, frame, qscale);
+  // Hard-cap enforcement: re-encode at a higher QP until the frame fits or
+  // the retry budget is spent (x264's VBV loop with row-level re-quant).
+  if (guidance.max_size.IsFinite()) {
+    const double cap = static_cast<double>(guidance.max_size.bits());
+    while (static_cast<double>(size.bits()) >
+               cap * (1.0 + config_.cap_tolerance) &&
+           reencodes < config_.max_reencodes && qp < kMaxQp) {
+      // Scale qscale by the observed overshoot, inverted through the
+      // type-appropriate exponent, with a safety factor.
+      const double gamma =
+          type == FrameType::kKey ? config_.rd.gamma_i : config_.rd.gamma_p;
+      const double overshoot = static_cast<double>(size.bits()) / cap;
+      qscale *= fastmath::Pow(overshoot * 1.1, 1.0 / gamma);
+      qscale = std::clamp(qscale, QpToQscale(kMinQp), QpToQscale(kMaxQp));
+      qp = QscaleToQp(qscale);
+      size = rd_.ActualBits(type, frame, qscale);
+      ++reencodes;
     }
-    out.ssim = rd_.Ssim(frame, qscale);
-    out.psnr = rd_.Psnr(frame, qp);
   }
+  out.ssim = rd_.Ssim(frame, qscale);
+  out.psnr = rd_.Psnr(frame, qp);
 
   out.qp = qp;
   out.size = size;
@@ -141,10 +130,7 @@ EncodedFrame Encoder::EncodeFrame(const video::RawFrame& frame,
   outcome.qscale = qscale;
   outcome.size = size;
   outcome.reencodes = reencodes;
-  {
-    const obs::StageTimer::Scope timer(obs::StageTimer::kControl);
-    rc_->OnFrameEncoded(outcome, now);
-  }
+  rc_->OnFrameEncoded(outcome, now);
 
   ++frames_encoded_;
   return out;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/metrics_registry.h"
-#include "obs/stage_timer.h"
 #include "obs/trace.h"
 
 namespace rave::net {
@@ -62,7 +61,6 @@ void Link::StartNext() {
 }
 
 void Link::OnTransmitComplete() {
-  const obs::StageTimer::Scope timer(obs::StageTimer::kLink);
   for (;;) {
     assert(in_flight_);
     const Packet packet = *in_flight_;

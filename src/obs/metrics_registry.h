@@ -1,9 +1,9 @@
-// Per-session metrics registry: counters, gauges, and fixed-bucket
-// histograms that subsystems register into by name. A registry belongs to
-// one session (install with MetricsScope, mirror of obs::TraceScope); at
-// the end of a run it is snapshotted into the SessionResult, serialized
-// through the result-cache blob, and merged across sessions by run_suite
-// into BENCH_suite.json.
+// Per-session metrics registry: counters and quantile sketches that
+// subsystems register into by name. A registry belongs to one session
+// (install with MetricsScope, mirror of obs::TraceScope); at the end of a
+// run it is snapshotted into the SessionResult, serialized through the
+// result-cache blob, and merged across sessions by run_suite into
+// BENCH_suite.json.
 //
 // Naming convention (enforced by review, not code): `<subsystem>.<metric>`
 // lower_snake within segments — "encoder.frames", "cc.overuse_decreases",
@@ -15,10 +15,7 @@
 // log-bucket histograms with exact count/min/max and a fixed-point sum,
 // whose merge is commutative/associative and bit-identical under any shard
 // order — the property the suite-wide "sketches" aggregation and the
-// cross-run regression sentinel rely on. The older fixed-bound Histogram
-// (inclusive upper bounds + overflow bucket, linear-interpolated
-// percentiles) is kept for callers that want hand-picked bucket layouts,
-// but registry call sites have been upgraded to sketches.
+// cross-run regression sentinel rely on.
 #pragma once
 
 #include <cstdint>
@@ -50,77 +47,21 @@ class Counter {
   uint64_t value_ = 0;
 };
 
-/// A last-write-wins double.
-class Gauge {
- public:
-  void Set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-/// Fixed-bucket histogram: `bounds` are inclusive upper bucket bounds in
-/// ascending order; values above the last bound land in an overflow bucket.
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void Record(double v);
-
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return min_; }
-  double max() const { return max_; }
-  const std::vector<double>& bounds() const { return bounds_; }
-  /// bucket_counts().size() == bounds().size() + 1 (last is overflow).
-  const std::vector<uint64_t>& bucket_counts() const { return counts_; }
-
-  /// Value at quantile q in [0,1], linearly interpolated inside the bucket;
-  /// clamped to [min(), max()]. 0 when empty.
-  double Percentile(double q) const;
-
- private:
-  std::vector<double> bounds_;
-  std::vector<uint64_t> counts_;
-  uint64_t count_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
-/// `count` upper bounds spaced geometrically from `lo` to `hi` (both > 0).
-std::vector<double> ExponentialBounds(double lo, double hi, size_t count);
-/// `count` upper bounds spaced evenly from `lo + step` to `hi`.
-std::vector<double> LinearBounds(double lo, double hi, size_t count);
-
-enum class MetricKind : uint8_t {
-  kCounter = 0,
-  kGauge = 1,
-  kHistogram = 2,
-  kSketch = 3
-};
+/// Serialized as one byte. 1 and 2 belonged to the retired gauge and
+/// fixed-bound histogram kinds; RegistrySnapshot::Decode rejects them.
+enum class MetricKind : uint8_t { kCounter = 0, kSketch = 3 };
 
 /// Serializable copy of one metric at snapshot time.
 struct MetricSnapshot {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
+  /// Payload of kind == kCounter.
   uint64_t counter = 0;
-  double gauge = 0.0;
-  // Histogram payload (kind == kHistogram only).
-  std::vector<double> bounds;
-  std::vector<uint64_t> bucket_counts;
-  uint64_t count = 0;
-  double sum = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  // Sketch payload (kind == kSketch only); the generic count/sum/min/max
-  // fields above stay at their defaults — read the sketch's accessors.
+  /// Payload of kind == kSketch.
   QuantileSketch sketch;
-
-  /// Percentile over the snapshotted distribution (histogram buckets or
-  /// the sketch, by kind).
-  double Percentile(double q) const;
+  /// Always 0; left over from the retired histogram kind. Read the
+  /// sketch's sum() instead.
+  double sum = 0.0;
 
   bool operator==(const MetricSnapshot&) const = default;
 };
@@ -130,10 +71,8 @@ struct RegistrySnapshot {
   std::vector<MetricSnapshot> metrics;
 
   const MetricSnapshot* Find(const std::string& name) const;
-  /// Merges `other` in: counters/histogram buckets add, gauges become
-  /// averaged via (sum,count) — used by suite aggregation where a gauge
-  /// across sessions reads as the mean. Bucket layouts must match for
-  /// histograms with the same name; mismatches are skipped.
+  /// Merges `other` in (suite aggregation): counters add, sketches merge.
+  /// A metric with no entry of the same name and kind yet is appended.
   void Merge(const RegistrySnapshot& other);
 
   void Encode(ByteWriter& w) const;
@@ -158,14 +97,7 @@ class MetricsRegistry {
   uint64_t serial() const { return serial_; }
 
   Counter* GetCounter(std::string_view name);
-  Gauge* GetGauge(std::string_view name);
-  /// `make_bounds` (e.g. `[] { return ExponentialBounds(1, 1e4, 10); }`) is
-  /// invoked only when the histogram does not exist yet; later calls with
-  /// the same name return the existing histogram and never build bounds.
-  Histogram* GetHistogram(std::string_view name,
-                          std::vector<double> (*make_bounds)());
-  /// Mergeable log-bucket quantile sketch (obs/sketch.h) — the default
-  /// choice for distribution metrics; no bounds to pick, and suite-wide
+  /// Mergeable log-bucket quantile sketch (obs/sketch.h); suite-wide
   /// merges stay bit-identical under any shard order.
   QuantileSketch* GetSketch(std::string_view name);
 
@@ -176,8 +108,6 @@ class MetricsRegistry {
     std::string name;
     MetricKind kind;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
     std::unique_ptr<QuantileSketch> sketch;
   };
   struct SvHash {
@@ -242,8 +172,9 @@ class RuntimeStats {
                      uint64_t frames);
 
   /// Snapshot under the same MetricSnapshot schema as session registries:
-  /// `wall.session_ms` / `wall.event_dispatch_ns` sketches plus
-  /// `alloc.per_event` / `alloc.per_frame` gauges and raw totals.
+  /// `wall.session_ms` / `wall.event_dispatch_ns` sketches plus the
+  /// `alloc.total`, `wall.sessions`, `wall.events` and `wall.frames`
+  /// counters (divide for allocations per event or per frame).
   RegistrySnapshot Snapshot() const;
 
   void Reset();

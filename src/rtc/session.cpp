@@ -7,7 +7,6 @@
 #include "cc/oracle.h"
 #include "codec/abr_rate_control.h"
 #include "codec/cbr_rate_control.h"
-#include "obs/stage_timer.h"
 #include "obs/trace.h"
 #include "util/alloc_probe.h"
 #include "util/logging.h"
@@ -272,7 +271,6 @@ void Session::OnFrameTick() {
 }
 
 void Session::OnPacerSend(net::Packet&& packet) {
-  const obs::StageTimer::Scope timer(obs::StageTimer::kPacer);
   packet.seq = next_transport_seq_++;
   history_.OnPacketSent(packet);
   if (config_.enable_rtx && !packet.is_retransmission && !packet.is_fec) {
@@ -308,7 +306,6 @@ void Session::OnFecRecovered(const net::Packet& packet, Timestamp arrival) {
 
 void Session::OnPacketArrival(const net::Packet& packet, Timestamp arrival) {
   if (packet.is_fec) {
-    const obs::StageTimer::Scope timer(obs::StageTimer::kFeedbackNack);
     // Recovery packet: acked for bandwidth estimation, then handed to the
     // FEC decoder with its group descriptors (sender-side bookkeeping; in a
     // real stack the descriptors ride in the FlexFEC header).
@@ -325,13 +322,9 @@ void Session::OnPacketArrival(const net::Packet& packet, Timestamp arrival) {
   // Cross traffic terminates at a different receiver; it only matters for
   // the queueing it caused upstream.
   if (packet.media_seq < 0) return;
-  {
-    const obs::StageTimer::Scope timer(obs::StageTimer::kFeedbackNack);
-    feedback_gen_->OnPacketReceived(packet, arrival);
-    if (fec_decoder_) fec_decoder_->OnMediaPacket(packet, arrival);
-    if (nack_gen_) nack_gen_->OnPacketReceived(packet);
-  }
-  const obs::StageTimer::Scope timer(obs::StageTimer::kAssembler);
+  feedback_gen_->OnPacketReceived(packet, arrival);
+  if (fec_decoder_) fec_decoder_->OnMediaPacket(packet, arrival);
+  if (nack_gen_) nack_gen_->OnPacketReceived(packet);
   assembler_->OnPacketReceived(packet, arrival);
 }
 
@@ -359,17 +352,11 @@ void Session::OnNackGiveUp(int64_t media_seq) {
 
 void Session::OnFeedbackAtSender(transport::FeedbackReport& report) {
   const Timestamp now = loop_.now();
-  {
-    const obs::StageTimer::Scope timer(obs::StageTimer::kFeedbackNack);
-    history_.OnFeedback(report, now, feedback_results_);
-  }
+  history_.OnFeedback(report, now, feedback_results_);
   // The report's packet buffer cycles back to the receiver-side generator,
   // so the periodic feedback path stops allocating once both buffers exist.
   feedback_gen_->Recycle(std::move(report.packets));
-  {
-    const obs::StageTimer::Scope timer(obs::StageTimer::kTrendline);
-    bwe_->OnPacketResults(feedback_results_, now);
-  }
+  bwe_->OnPacketResults(feedback_results_, now);
   if (gcc_ && gcc_->decreased_on_last_update()) overuse_decrease_seen_ = true;
 
   breaker_.OnFeedback(now, bwe_->target());

@@ -118,10 +118,10 @@ struct SessionResult {
   core::CircuitBreaker::Stats breaker_stats;
   /// Simulation events executed by the session's loop (throughput metric).
   uint64_t events_executed = 0;
-  /// Registry snapshot: counters/gauges/histograms registered by the
-  /// subsystems plus session-level roll-ups (allocs/frame, wall timing).
-  /// Metrics named `wall.*` are wall-clock-derived and excluded from
-  /// determinism comparisons.
+  /// Registry snapshot: the counters and sketches the subsystems register
+  /// plus session-level roll-ups (event count, breaker activity, frame
+  /// latency). Host-side measurements (wall clock, allocations) are not
+  /// here; they go to obs::RuntimeStats.
   obs::RegistrySnapshot metrics;
 };
 

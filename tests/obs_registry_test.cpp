@@ -1,10 +1,16 @@
-// Metrics-registry unit tests: histogram bucket/percentile math, registry
-// lookup semantics (pointer stability, one-time bounds construction),
-// snapshot merging, and the serialization round trip through both the raw
-// byte codec and a full result-cache blob.
+// Metrics-registry unit tests: registry lookup semantics (pointer
+// stability, sorted snapshots), snapshot merging, the serialization round
+// trip through both the raw byte codec and a full result-cache blob, the
+// fail-closed decode of retired metric kinds, and RuntimeStats under
+// concurrent recording.
 #include "obs/metrics_registry.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common.h"
 #include "runner/result_cache.h"
@@ -14,74 +20,6 @@
 namespace rave::obs {
 namespace {
 
-int g_bounds_calls = 0;
-std::vector<double> CountingBounds() {
-  ++g_bounds_calls;
-  return {1.0, 2.0, 5.0};
-}
-
-TEST(HistogramTest, BucketBoundariesAreInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0, 5.0});
-  h.Record(1.0);   // exactly on bound 0 -> bucket 0
-  h.Record(1.5);   // bucket 1
-  h.Record(2.0);   // exactly on bound 1 -> bucket 1
-  h.Record(5.0);   // bucket 2
-  h.Record(5.01);  // overflow
-  ASSERT_EQ(h.bucket_counts().size(), 4u);
-  EXPECT_EQ(h.bucket_counts()[0], 1u);
-  EXPECT_EQ(h.bucket_counts()[1], 2u);
-  EXPECT_EQ(h.bucket_counts()[2], 1u);
-  EXPECT_EQ(h.bucket_counts()[3], 1u);
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.min(), 1.0);
-  EXPECT_DOUBLE_EQ(h.max(), 5.01);
-  EXPECT_DOUBLE_EQ(h.sum(), 1.0 + 1.5 + 2.0 + 5.0 + 5.01);
-}
-
-TEST(HistogramTest, PercentileEdgeCases) {
-  Histogram empty({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(empty.Percentile(0.5), 0.0);
-
-  Histogram one({1.0, 10.0});
-  one.Record(3.0);
-  // A single sample answers every quantile with itself (clamped to max).
-  EXPECT_DOUBLE_EQ(one.Percentile(0.0), 3.0);
-  EXPECT_DOUBLE_EQ(one.Percentile(0.5), 3.0);
-  EXPECT_DOUBLE_EQ(one.Percentile(1.0), 3.0);
-
-  Histogram h({10.0, 20.0, 30.0});
-  for (double v : {5.0, 15.0, 25.0}) h.Record(v);
-  // Quantiles are clamped into [min, max] whatever the bucket bounds say.
-  EXPECT_DOUBLE_EQ(h.Percentile(0.0), 5.0);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 25.0);
-  const double p50 = h.Percentile(0.5);
-  EXPECT_GE(p50, 10.0);
-  EXPECT_LE(p50, 20.0);
-}
-
-TEST(HistogramTest, OverflowSamplesStayInsideMinMax) {
-  Histogram h({1.0, 2.0});
-  h.Record(100.0);
-  h.Record(200.0);
-  EXPECT_EQ(h.bucket_counts().back(), 2u);
-  EXPECT_DOUBLE_EQ(h.Percentile(1.0), 200.0);
-  EXPECT_GE(h.Percentile(0.5), 100.0);
-  EXPECT_LE(h.Percentile(0.5), 200.0);
-}
-
-TEST(HistogramTest, BoundsHelpers) {
-  const std::vector<double> exp = ExponentialBounds(1.0, 1000.0, 4);
-  ASSERT_EQ(exp.size(), 4u);
-  EXPECT_DOUBLE_EQ(exp.front(), 1.0);
-  EXPECT_DOUBLE_EQ(exp.back(), 1000.0);
-  for (size_t i = 1; i < exp.size(); ++i) EXPECT_GT(exp[i], exp[i - 1]);
-
-  const std::vector<double> lin = LinearBounds(0.0, 10.0, 5);
-  ASSERT_EQ(lin.size(), 5u);
-  EXPECT_DOUBLE_EQ(lin.front(), 2.0);
-  EXPECT_DOUBLE_EQ(lin.back(), 10.0);
-}
-
 TEST(MetricsRegistryTest, RepeatLookupsReturnTheSamePointer) {
   MetricsRegistry registry;
   Counter* c = registry.GetCounter("a.count");
@@ -89,25 +27,16 @@ TEST(MetricsRegistryTest, RepeatLookupsReturnTheSamePointer) {
   EXPECT_EQ(registry.GetCounter("a.count"), c);
   EXPECT_EQ(registry.GetCounter("a.count")->value(), 3u);
 
-  Gauge* g = registry.GetGauge("a.gauge");
-  g->Set(1.5);
-  EXPECT_EQ(registry.GetGauge("a.gauge"), g);
-}
-
-TEST(MetricsRegistryTest, HistogramBoundsBuiltExactlyOnce) {
-  MetricsRegistry registry;
-  g_bounds_calls = 0;
-  Histogram* h = registry.GetHistogram("a.hist", &CountingBounds);
-  EXPECT_EQ(g_bounds_calls, 1);
-  EXPECT_EQ(registry.GetHistogram("a.hist", &CountingBounds), h);
-  EXPECT_EQ(registry.GetHistogram("a.hist", &CountingBounds), h);
-  EXPECT_EQ(g_bounds_calls, 1);
+  QuantileSketch* s = registry.GetSketch("a.sketch");
+  s->Record(1.5);
+  EXPECT_EQ(registry.GetSketch("a.sketch"), s);
+  EXPECT_EQ(registry.GetSketch("a.sketch")->count(), 1u);
 }
 
 TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
   MetricsRegistry registry;
   registry.GetCounter("z.last")->Add();
-  registry.GetGauge("m.middle")->Set(2.0);
+  registry.GetSketch("m.middle")->Record(2.0);
   registry.GetCounter("a.first")->Add(5);
   const RegistrySnapshot snap = registry.Snapshot();
   ASSERT_EQ(snap.metrics.size(), 3u);
@@ -115,59 +44,41 @@ TEST(MetricsRegistryTest, SnapshotIsSortedByName) {
   EXPECT_EQ(snap.metrics[1].name, "m.middle");
   EXPECT_EQ(snap.metrics[2].name, "z.last");
   EXPECT_EQ(snap.Find("a.first")->counter, 5u);
+  EXPECT_EQ(snap.Find("m.middle")->kind, MetricKind::kSketch);
   EXPECT_EQ(snap.Find("missing"), nullptr);
 }
 
-TEST(RegistrySnapshotTest, MergeAddsCountersAndAveragesGauges) {
+TEST(RegistrySnapshotTest, MergeAddsCountersAndMergesSketches) {
   MetricsRegistry a;
   a.GetCounter("n")->Add(2);
-  a.GetGauge("g")->Set(1.0);
+  for (double v : {0.5, 3.0, 40.0}) a.GetSketch("s")->Record(v);
   MetricsRegistry b;
   b.GetCounter("n")->Add(3);
-  b.GetGauge("g")->Set(3.0);
+  for (double v : {1.25, 900.0}) b.GetSketch("s")->Record(v);
   b.GetCounter("only_b")->Add(7);
 
   RegistrySnapshot merged = a.Snapshot();
   merged.Merge(b.Snapshot());
   EXPECT_EQ(merged.Find("n")->counter, 5u);
-  EXPECT_DOUBLE_EQ(merged.Find("g")->gauge, 2.0);  // mean of 1 and 3
   EXPECT_EQ(merged.Find("only_b")->counter, 7u);
-}
 
-TEST(RegistrySnapshotTest, MergeAddsHistogramBucketsAndSkipsMismatches) {
-  MetricsRegistry a;
-  a.GetHistogram("h", [] { return std::vector<double>{1.0, 2.0}; })
-      ->Record(0.5);
-  MetricsRegistry b;
-  b.GetHistogram("h", [] { return std::vector<double>{1.0, 2.0}; })
-      ->Record(1.5);
-  RegistrySnapshot merged = a.Snapshot();
-  merged.Merge(b.Snapshot());
-  const MetricSnapshot* h = merged.Find("h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 2u);
-  EXPECT_EQ(h->bucket_counts[0], 1u);
-  EXPECT_EQ(h->bucket_counts[1], 1u);
-  EXPECT_DOUBLE_EQ(h->min, 0.5);
-  EXPECT_DOUBLE_EQ(h->max, 1.5);
-
-  // A histogram with different bounds cannot be merged meaningfully; the
-  // original stays untouched.
-  MetricsRegistry c;
-  c.GetHistogram("h", [] { return std::vector<double>{9.0}; })->Record(1.0);
-  RegistrySnapshot kept = a.Snapshot();
-  kept.Merge(c.Snapshot());
-  EXPECT_EQ(kept.Find("h")->count, 1u);
-  EXPECT_EQ(kept.Find("h")->bounds.size(), 2u);
+  // The merged sketch is bit-identical to merging the sketches directly and
+  // to one sketch that saw every sample.
+  QuantileSketch direct = *a.GetSketch("s");
+  direct.Merge(*b.GetSketch("s"));
+  QuantileSketch all;
+  for (double v : {0.5, 3.0, 40.0, 1.25, 900.0}) all.Record(v);
+  const MetricSnapshot* s = merged.Find("s");
+  ASSERT_NE(s, nullptr);
+  EXPECT_EQ(s->sketch, direct);
+  EXPECT_EQ(s->sketch, all);
+  EXPECT_EQ(s->sketch.count(), 5u);
 }
 
 TEST(RegistrySnapshotTest, ByteCodecRoundTrips) {
   MetricsRegistry registry;
   registry.GetCounter("c")->Add(42);
-  registry.GetGauge("g")->Set(-2.25);
-  Histogram* h = registry.GetHistogram(
-      "h", [] { return ExponentialBounds(1.0, 100.0, 6); });
-  for (double v : {0.5, 3.0, 250.0}) h->Record(v);
+  for (double v : {0.5, 3.0, 250.0}) registry.GetSketch("s")->Record(v);
   const RegistrySnapshot snap = registry.Snapshot();
 
   ByteWriter w;
@@ -178,6 +89,84 @@ TEST(RegistrySnapshotTest, ByteCodecRoundTrips) {
   EXPECT_TRUE(r.ok());
   EXPECT_TRUE(r.AtEnd());
   EXPECT_EQ(decoded, snap);
+}
+
+// One counter record in the snapshot wire layout, built by hand: name, kind
+// byte, counter, then the seven 8-byte slots of the retired gauge and
+// histogram kinds. `slot` (0-6) is set to `slot_value`; -1 leaves all zero.
+std::vector<uint8_t> HandBuiltSnapshot(uint8_t kind_byte, int slot = -1,
+                                       uint64_t slot_value = 0) {
+  ByteWriter w;
+  w.U64(1);
+  w.Str("c");
+  w.U8(kind_byte);
+  w.U64(42);
+  for (int i = 0; i < 7; ++i) w.U64(i == slot ? slot_value : 0);
+  return w.Take();
+}
+
+TEST(RegistrySnapshotTest, HandBuiltCounterMatchesEncode) {
+  MetricsRegistry registry;
+  registry.GetCounter("c")->Add(42);
+  ByteWriter w;
+  registry.Snapshot().Encode(w);
+  EXPECT_EQ(w.bytes(), HandBuiltSnapshot(0));
+
+  const std::vector<uint8_t> bytes = HandBuiltSnapshot(0);
+  ByteReader r(bytes.data(), bytes.size());
+  const RegistrySnapshot decoded = RegistrySnapshot::Decode(r);
+  EXPECT_TRUE(r.ok());
+  ASSERT_NE(decoded.Find("c"), nullptr);
+  EXPECT_EQ(decoded.Find("c")->counter, 42u);
+}
+
+TEST(RegistrySnapshotTest, RetiredKindsFailClosed) {
+  for (uint8_t kind_byte : {uint8_t{1}, uint8_t{2}, uint8_t{4}}) {
+    const std::vector<uint8_t> bytes = HandBuiltSnapshot(kind_byte);
+    ByteReader r(bytes.data(), bytes.size());
+    RegistrySnapshot::Decode(r);
+    EXPECT_FALSE(r.ok()) << "kind byte " << int{kind_byte};
+  }
+}
+
+TEST(RegistrySnapshotTest, NonZeroRetiredSlotFailsClosed) {
+  for (int slot = 0; slot < 7; ++slot) {
+    const std::vector<uint8_t> bytes = HandBuiltSnapshot(0, slot, 1);
+    ByteReader r(bytes.data(), bytes.size());
+    RegistrySnapshot::Decode(r);
+    EXPECT_FALSE(r.ok()) << "slot " << slot;
+  }
+  // A negative zero is a non-zero bit pattern, not a zero slot.
+  const std::vector<uint8_t> bytes =
+      HandBuiltSnapshot(0, /*slot=*/6, uint64_t{1} << 63);
+  ByteReader r(bytes.data(), bytes.size());
+  RegistrySnapshot::Decode(r);
+  EXPECT_FALSE(r.ok());
+}
+
+TEST(RegistrySnapshotTest, ResultBlobWithRetiredKindIsRejected) {
+  rtc::SessionResult result;
+  result.scheme_name = "x";
+  MetricsRegistry registry;
+  registry.GetCounter("c")->Add(42);
+  result.metrics = registry.Snapshot();
+  const std::vector<uint8_t> blob = runner::ResultCache::EncodeResult(result);
+  rtc::SessionResult decoded;
+  ASSERT_TRUE(runner::ResultCache::DecodeResult(blob, &decoded));
+
+  // The snapshot ends the blob: its one counter record closes with the kind
+  // byte, the counter and the seven retired slots.
+  const size_t kind_at = blob.size() - 8 * 8 - 1;
+  ASSERT_EQ(blob[kind_at], 0);
+  for (uint8_t kind_byte : {uint8_t{1}, uint8_t{2}}) {
+    std::vector<uint8_t> doctored = blob;
+    doctored[kind_at] = kind_byte;
+    EXPECT_FALSE(runner::ResultCache::DecodeResult(doctored, &decoded))
+        << "kind byte " << int{kind_byte};
+  }
+  std::vector<uint8_t> doctored = blob;
+  doctored.back() = 1;  // top byte of the last retired slot
+  EXPECT_FALSE(runner::ResultCache::DecodeResult(doctored, &decoded));
 }
 
 TEST(RegistrySnapshotTest, SurvivesAResultCacheBlobRoundTrip) {
@@ -194,6 +183,49 @@ TEST(RegistrySnapshotTest, SurvivesAResultCacheBlobRoundTrip) {
   rtc::SessionResult decoded;
   ASSERT_TRUE(runner::ResultCache::DecodeResult(blob, &decoded));
   EXPECT_EQ(decoded.metrics, result.metrics);
+}
+
+// Four threads record sessions while a fifth snapshots; the totals must
+// come out exact. Under TSan (tsan_check) this is the RuntimeStats race
+// check.
+TEST(RuntimeStatsTest, ConcurrentRecordAndSnapshotKeepExactTotals) {
+  RuntimeStats& stats = RuntimeStats::Instance();
+  stats.Reset();
+  constexpr int kThreads = 4;
+  constexpr int kSessionsPerThread = 500;
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < kThreads; ++t) {
+    recorders.emplace_back([&stats, t] {
+      for (int i = 0; i < kSessionsPerThread; ++i) {
+        stats.RecordSession(/*wall_ms=*/1.0 + t, /*events=*/1000,
+                            /*allocs=*/3, /*frames=*/30);
+      }
+    });
+  }
+  std::thread reader([&stats] {
+    for (int i = 0; i < 200; ++i) {
+      const RegistrySnapshot snap = stats.Snapshot();
+      const MetricSnapshot* sessions = snap.Find("wall.sessions");
+      ASSERT_NE(sessions, nullptr);
+      EXPECT_LE(sessions->counter, uint64_t{kThreads * kSessionsPerThread});
+    }
+  });
+  for (std::thread& t : recorders) t.join();
+  reader.join();
+
+  const RegistrySnapshot snap = stats.Snapshot();
+  constexpr uint64_t kSessions = kThreads * kSessionsPerThread;
+  ASSERT_NE(snap.Find("wall.sessions"), nullptr);
+  ASSERT_NE(snap.Find("wall.events"), nullptr);
+  ASSERT_NE(snap.Find("wall.frames"), nullptr);
+  ASSERT_NE(snap.Find("alloc.total"), nullptr);
+  ASSERT_NE(snap.Find("wall.session_ms"), nullptr);
+  EXPECT_EQ(snap.Find("wall.sessions")->counter, kSessions);
+  EXPECT_EQ(snap.Find("wall.events")->counter, kSessions * 1000);
+  EXPECT_EQ(snap.Find("wall.frames")->counter, kSessions * 30);
+  EXPECT_EQ(snap.Find("alloc.total")->counter, kSessions * 3);
+  EXPECT_EQ(snap.Find("wall.session_ms")->sketch.count(), kSessions);
+  stats.Reset();
 }
 
 TEST(MetricsScopeTest, InstallsAndRestores) {

@@ -271,7 +271,7 @@ TEST(QuantileSketchTest, RegistrySketchMergesAndSurvivesSnapshotCodec) {
   EXPECT_EQ(m->sketch.count(), 3u);
   EXPECT_EQ(m->sketch.min(), 10.0);
   EXPECT_EQ(m->sketch.max(), 30.0);
-  EXPECT_EQ(m->Percentile(0.0), 10.0);
+  EXPECT_EQ(m->sketch.Quantile(0.0), 10.0);
 
   ByteWriter w;
   merged.Encode(w);
